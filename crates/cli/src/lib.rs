@@ -6,7 +6,7 @@
 
 #![warn(missing_docs)]
 
-use prs_core::{CalibrationMode, EngineMode, JobConfig, SchedulingMode};
+use prs_core::{CalibrationMode, JobConfig, SchedulingMode};
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use std::collections::BTreeMap;
@@ -230,7 +230,7 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     let known = [
         "app", "nodes", "profile", "profile-file", "mode", "iterations", "points", "dims",
         "clusters", "seed", "gpus", "streams", "blocks-per-core", "trace", "obs", "calibrate",
-        "engine", "record-window", "record-budget", "membership",
+        "record-window", "record-budget", "membership",
     ];
     for k in kv.keys() {
         if !known.contains(&k.as_str()) {
@@ -261,11 +261,6 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     if let Some(cal) = kv.get("calibrate") {
         opts.config.calibration = parse_calibration(cal)?;
     }
-    if let Some(engine) = kv.get("engine") {
-        opts.config.engine = engine
-            .parse::<EngineMode>()
-            .map_err(|e| format!("bad value for --engine: {e}"))?;
-    }
     opts.config.max_iterations = get_parsed(&kv, "iterations", opts.config.max_iterations)?;
     opts.config.gpus_per_node = get_parsed(&kv, "gpus", opts.config.gpus_per_node)?;
     opts.config.gpu_streams = get_parsed(&kv, "streams", opts.config.gpu_streams)?;
@@ -274,6 +269,19 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     opts.dims = get_parsed(&kv, "dims", opts.dims)?;
     opts.clusters = get_parsed(&kv, "clusters", opts.clusters)?;
     opts.seed = get_parsed(&kv, "seed", opts.seed)?;
+    if opts.dims == 0 {
+        return Err("--dims must be at least 1".to_string());
+    }
+    let clustering = matches!(
+        opts.app,
+        AppKind::Cmeans | AppKind::Kmeans | AppKind::Gmm | AppKind::Da
+    );
+    if clustering && !(1..opts.points).contains(&opts.clusters) {
+        return Err(format!(
+            "--clusters must satisfy 1 <= clusters < points (got {} clusters, {} points)",
+            opts.clusters, opts.points
+        ));
+    }
     opts.timeline = flags.iter().any(|f| f == "timeline");
     opts.json = flags.iter().any(|f| f == "json");
     opts.trace_out = kv.get("trace").cloned();
@@ -453,17 +461,6 @@ mod tests {
         assert_eq!(plain.config.calibration, CalibrationMode::Off);
         assert_eq!(plain.profile_file, None);
         assert!(parse_run(&argv("--calibrate sometimes")).is_err());
-    }
-
-    #[test]
-    fn engine_grammar() {
-        let opts = parse_run(&argv("--app cmeans --engine parallel")).unwrap();
-        assert_eq!(opts.config.engine, EngineMode::Parallel);
-        let opts = parse_run(&argv("--engine legacy")).unwrap();
-        assert_eq!(opts.config.engine, EngineMode::LegacyHeap);
-        let plain = parse_run(&argv("--app cmeans")).unwrap();
-        assert_eq!(plain.config.engine, EngineMode::Calendar);
-        assert!(parse_run(&argv("--engine warp")).is_err());
     }
 
     #[test]

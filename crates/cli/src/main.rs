@@ -112,7 +112,6 @@ USAGE:
                           stragglers, speculation) and assert the recovery
                           invariants; writes chaos_report.json
                           (--trials <n> (32), --seed <n> (7),
-                          --engine <legacy|calendar|parallel> (calendar),
                           --out <file>, --json; --score-watch also scores
                           the health watchdog against the injected fault
                           plans and writes watch_score.json
@@ -138,10 +137,6 @@ RUN OPTIONS (defaults in parentheses):
   --app <{apps}>   (cmeans)
   --nodes <n>                 cluster size (2)
   --profile <delta|bigred2|micro>   node hardware (delta)
-  --engine <legacy|calendar|parallel>   simulation engine (calendar);
-                              all modes are bit-identical in outcome,
-                              parallel shards per-node event queues
-                              (see docs/engine.md)
   --profile-file <toml>       node hardware from a `prs calibrate` TOML
   --mode <static|static:<p>|dynamic:<block>|gpu|cpu>   (static)
   --calibrate <off|online|online:<alpha>>   online roofline recalibration:
@@ -1263,8 +1258,7 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
     // onto the virtual clock.
     let mut cmeans_elastic = cmeans_static.clone();
     cmeans_elastic.config = cmeans_elastic.config.with_checkpoint_interval(1);
-    // The cluster-scale scenario: 1000 micro nodes under the parallel
-    // engine, one iteration. Sized so every node gets a few map blocks;
+    // The cluster-scale scenario: 1000 micro nodes, one iteration. Sized so every node gets a few map blocks;
     // what the entry really measures is engine throughput (sim events per
     // wall second) at the paper's target scale.
     let cmeans_1000 = RunOptions {
@@ -1275,8 +1269,7 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
         dims: 8,
         config: prs_core::JobConfig::static_analytic()
             .with_iterations(1)
-            .with_streams(1)
-            .with_engine(prs_core::EngineMode::Parallel),
+            .with_streams(1),
         ..Default::default()
     };
     vec![
@@ -1291,10 +1284,17 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
     ]
 }
 
+/// Floor on `speedup_vs_legacy`. The baseline side once ran its holds
+/// through a binary heap and now runs them through the calendar queue,
+/// which measured 1.057x slower on that path (median of 20 alternating
+/// best-of-3 pairs on a 2-core x86-64 container); the original 10x floor
+/// is raised by that ratio so the gate is no looser than before.
+const SPEEDUP_FLOOR: f64 = 10.6;
+
 /// One `prs bench` result row. `events_per_sec` and `speedup_vs_legacy`
 /// are only present on the engine-throughput entries; virtual quantities
 /// are bit-reproducible, wall-derived ones are gated loosely.
-/// `legacy_eps` records the same-run legacy hold-path throughput — the
+/// `legacy_eps` records the same-run process-hold throughput — the
 /// machine-speed calibration the `--check` envelope divides out, so the
 /// events/sec gate measures the engine, not the host it ran on.
 struct BenchRow {
@@ -1325,9 +1325,8 @@ fn phase_breakdown(m: &prs_core::JobMetrics) -> std::collections::BTreeMap<&'sta
 }
 
 /// The synthetic engine-throughput entry: the 1000-node / 2M-event timer
-/// stress under the calendar queue, with the speedup ratio against the
-/// seed engine's only timer mechanism (process `hold()` through the
-/// legacy heap — two context switches and a per-block string per event).
+/// stress, with the speedup ratio against the seed engine's only timer
+/// mechanism (process `hold()` — two context switches per event).
 /// Both sides take the best of three runs: co-tenant load only ever
 /// slows a run down, so peak throughput is the noise-robust statistic
 /// for a wall-clock gate.
@@ -1340,7 +1339,7 @@ fn engine_synthetic_row() -> BenchRow {
     let mut end_time = simtime::SimTime::ZERO;
     for _ in 0..REPS {
         let t0 = std::time::Instant::now();
-        let (events, end) = run_stress(simtime::EngineMode::Calendar, spec);
+        let (events, end) = run_stress(spec);
         let wall = t0.elapsed();
         events_per_sec = events_per_sec.max(events as f64 / wall.as_secs_f64().max(1e-9));
         best_wall = best_wall.min(wall);
@@ -1352,7 +1351,7 @@ fn engine_synthetic_row() -> BenchRow {
     let mut base_eps = 0.0f64;
     for _ in 0..REPS {
         let t1 = std::time::Instant::now();
-        let base_events = run_hold_baseline(simtime::EngineMode::LegacyHeap, 500, 40);
+        let base_events = run_hold_baseline(500, 40);
         base_eps = base_eps.max(base_events as f64 / t1.elapsed().as_secs_f64().max(1e-9));
     }
 
@@ -1589,19 +1588,21 @@ fn cmd_bench(args: &[String]) -> i32 {
                         }
                     }
                     // Engine-throughput gates: the synthetic must hold the
-                    // >= 10x speedup over the legacy hold path, and entries
+                    // SPEEDUP_FLOOR speedup over the hold path, and entries
                     // with a recorded events/sec must stay within 10% of
                     // their committed baseline (regressions only — faster
                     // is always fine).
                     if let Some(speedup) = row.speedup_vs_legacy {
-                        if speedup < 10.0 {
+                        if speedup < SPEEDUP_FLOOR {
                             eprintln!(
                                 "REGRESSION {name}: engine speedup {speedup:.1}x vs legacy \
-                                 hold path is below the 10x floor"
+                                 hold path is below the {SPEEDUP_FLOOR}x floor"
                             );
                             regressed = true;
                         } else {
-                            say!("check {name:<24} {speedup:.1}x vs legacy: ok (>= 10x)");
+                            say!(
+                                "check {name:<24} {speedup:.1}x vs legacy: ok (>= {SPEEDUP_FLOOR}x)"
+                            );
                         }
                     }
                     if let (Some(eps), Some(base_eps)) = (
@@ -1762,11 +1763,6 @@ fn cmd_chaos(args: &[String]) -> i32 {
                     cfg.seed = v
                         .parse::<u64>()
                         .map_err(|_| format!("--seed expects an integer, got '{v}'"))?;
-                }
-                "engine" => {
-                    cfg.engine = v
-                        .parse::<simtime::EngineMode>()
-                        .map_err(|e| format!("bad value for --engine: {e}"))?;
                 }
                 "out" => out_path = v.clone(),
                 "watch-out" => watch_out = v.clone(),

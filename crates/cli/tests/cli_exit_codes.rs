@@ -105,6 +105,16 @@ fn usage_errors_exit_two() {
         vec!["run", "--membership", "p.toml", "--app", "gemv"], // elastic needs cmeans
         vec!["run", "--autoscale", "--app", "kmeans"],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
+        // Degenerate shapes: clustering needs 1 <= clusters < points, and
+        // every app needs at least one dimension.
+        vec!["run", "--app", "cmeans", "--points", "0"],
+        vec!["run", "--app", "cmeans", "--points", "3", "--nodes", "8"],
+        vec!["run", "--app", "kmeans", "--points", "1"],
+        vec!["run", "--app", "gmm", "--points", "2"],
+        vec!["run", "--app", "cmeans", "--clusters", "0"],
+        vec!["run", "--dims", "0"],
+        vec!["run", "--engine", "calendar"], // there is one engine: no knob
+        vec!["chaos", "--engine", "parallel"],
         vec!["definitely-not-a-subcommand"],
     ] {
         let out = prs(&cmd);
@@ -112,6 +122,11 @@ fn usage_errors_exit_two() {
             out.status.code(),
             Some(2),
             "prs {} must exit 2 (usage error)",
+            cmd.join(" ")
+        );
+        assert!(
+            !out.stderr.is_empty(),
+            "prs {} must explain the usage error on stderr",
             cmd.join(" ")
         );
     }

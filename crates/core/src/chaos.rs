@@ -46,11 +46,6 @@ pub struct ChaosConfig {
     pub trials: usize,
     /// Root seed; every trial's plan derives from it deterministically.
     pub seed: u64,
-    /// Simulation engine the trials run under. Deliberately *excluded*
-    /// from [`ChaosReport::to_json`]: the determinism contract says the
-    /// report is a pure function of `(trials, seed)` whatever the engine,
-    /// so reports from different engines must stay byte-identical.
-    pub engine: simtime::EngineMode,
 }
 
 impl Default for ChaosConfig {
@@ -58,7 +53,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             trials: 32,
             seed: 7,
-            engine: simtime::EngineMode::Calendar,
         }
     }
 }
@@ -464,8 +458,7 @@ fn run_chaos_inner(
         } else {
             JobConfig::static_analytic()
         }
-        .with_iterations(iterations)
-        .with_engine(cfg.engine);
+        .with_iterations(iterations);
         if speculation {
             config = config.with_speculation(1.5 + unit(&mut s));
         }
@@ -760,8 +753,7 @@ impl ChurnReport {
     }
 
     /// Deterministic JSON rendering (same contract as
-    /// [`ChaosReport::to_json`]: a pure function of `(trials, seed)`,
-    /// byte-identical whatever engine ran the grid).
+    /// [`ChaosReport::to_json`]: a pure function of `(trials, seed)`).
     pub fn to_json(&self) -> Value {
         json!({
             "seed": self.seed,
@@ -840,8 +832,7 @@ pub fn run_chaos_churn(cfg: &ChaosConfig) -> ChurnReport {
         } else {
             JobConfig::static_analytic()
         }
-        .with_iterations(iterations)
-        .with_engine(cfg.engine);
+        .with_iterations(iterations);
 
         // Fixed-cluster fault-free baseline: reference outputs/state,
         // the span churn times are scheduled against, and the iteration
@@ -1006,7 +997,7 @@ mod tests {
 
     #[test]
     fn small_grid_passes_all_invariants() {
-        let report = run_chaos(&ChaosConfig { trials: 4, seed: 11, ..Default::default() });
+        let report = run_chaos(&ChaosConfig { trials: 4, seed: 11 });
         assert_eq!(report.trials.len(), 4);
         assert!(report.worker_crash_trials() >= 1);
         assert!(report.master_crash_trials() >= 1);
@@ -1021,7 +1012,7 @@ mod tests {
 
     #[test]
     fn report_is_deterministic() {
-        let cfg = ChaosConfig { trials: 3, seed: 42, ..Default::default() };
+        let cfg = ChaosConfig { trials: 3, seed: 42 };
         let a = run_chaos(&cfg).to_json().to_string();
         let b = run_chaos(&cfg).to_json().to_string();
         assert_eq!(a, b);
@@ -1029,7 +1020,7 @@ mod tests {
 
     #[test]
     fn json_report_reconciles_speculation() {
-        let report = run_chaos(&ChaosConfig { trials: 6, seed: 5, ..Default::default() });
+        let report = run_chaos(&ChaosConfig { trials: 6, seed: 5 });
         let v = report.to_json();
         assert_eq!(v["speculation_reconciles"], serde_json::json!(true));
         let (l, w, x) = report.speculation_totals();
@@ -1038,7 +1029,7 @@ mod tests {
 
     #[test]
     fn churn_grid_passes_all_invariants() {
-        let report = run_chaos_churn(&ChaosConfig { trials: 8, seed: 7, ..Default::default() });
+        let report = run_chaos_churn(&ChaosConfig { trials: 8, seed: 7 });
         assert_eq!(report.trials.len(), 8);
         for t in &report.trials {
             assert!(t.passed(), "churn trial {} violated an invariant: {t:?}", t.index);
@@ -1053,7 +1044,7 @@ mod tests {
 
     #[test]
     fn churn_trial_zero_forces_crash_mid_drain() {
-        let report = run_chaos_churn(&ChaosConfig { trials: 1, seed: 7, ..Default::default() });
+        let report = run_chaos_churn(&ChaosConfig { trials: 1, seed: 7 });
         let t = &report.trials[0];
         assert!(t.passed(), "trial 0 violated an invariant: {t:?}");
         // The drain was scheduled but the crash landed first and
@@ -1069,7 +1060,7 @@ mod tests {
 
     #[test]
     fn churn_report_is_deterministic() {
-        let cfg = ChaosConfig { trials: 4, seed: 42, ..Default::default() };
+        let cfg = ChaosConfig { trials: 4, seed: 42 };
         let a = run_chaos_churn(&cfg).to_json().to_string();
         let b = run_chaos_churn(&cfg).to_json().to_string();
         assert_eq!(a, b);

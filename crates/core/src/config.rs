@@ -3,7 +3,6 @@
 
 use crate::api::DeviceClass;
 use serde::{Deserialize, Serialize};
-use simtime::EngineMode;
 
 /// How the sub-task scheduler divides a partition between devices
 /// (paper §III.B.2's two options, plus degenerate single-device modes
@@ -109,11 +108,6 @@ pub struct JobConfig {
     /// driver (`run_resilient`): rank 0 snapshots the model state after
     /// every `n`-th global reduce. 0 disables checkpointing.
     pub checkpoint_interval_iters: usize,
-    /// Simulation engine the job runs on (see `docs/engine.md`). All modes
-    /// produce bit-identical virtual clocks, event orders, and exporter
-    /// artifacts; `Parallel` additionally shards per-node event queues and
-    /// steps them within the network's α-latency lookahead window.
-    pub engine: EngineMode,
     /// Flight-recorder retention policy (see `obs::recorder`). The
     /// default is disabled (`budget == 0`); when enabled the drivers
     /// pump `Obs::recorder` at every iteration boundary so resident
@@ -142,7 +136,6 @@ impl Default for JobConfig {
             max_partition_retries: 2,
             speculation_lag_multiplier: None,
             checkpoint_interval_iters: 0,
-            engine: EngineMode::Calendar,
             recorder: obs::RecorderConfig::disabled(),
         }
     }
@@ -251,14 +244,6 @@ impl JobConfig {
         self
     }
 
-    /// Builder-style simulation engine selection. Every mode is
-    /// bit-identical in outcome; this only changes how the event queue is
-    /// organized and stepped (see [`EngineMode`]).
-    pub fn with_engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Builder-style flight-recorder policy. Enabling it never changes
     /// virtual time — drivers pump the recorder outside the simulation —
     /// it only bounds resident telemetry and arms incident capture.
@@ -309,13 +294,6 @@ mod tests {
             .with_checkpoint_interval(2);
         assert_eq!(c.speculation_lag_multiplier, Some(2.5));
         assert_eq!(c.checkpoint_interval_iters, 2);
-        let c = JobConfig::default().with_engine(EngineMode::Parallel);
-        assert_eq!(c.engine, EngineMode::Parallel);
-    }
-
-    #[test]
-    fn engine_defaults_to_calendar() {
-        assert_eq!(JobConfig::default().engine, EngineMode::Calendar);
     }
 
     #[test]

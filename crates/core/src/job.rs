@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use roofline::model::DataResidency;
 use roofline::profiles::DeviceProfile;
 use roofline::schedule::{device_time, partition_across_nodes, split_multi_gpu, Workload};
-use simtime::{Channel, EngineConfig, RecvOutcome, Sim, SimCtx, SimError, SimTime};
+use simtime::{Channel, RecvOutcome, Sim, SimCtx, SimError, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -515,15 +515,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
     validate(spec, app.as_ref(), &config)?;
     let hooks = Arc::new(hooks);
     let n = spec.len();
-    // Shard layout for the parallel engine: the master (plus any
-    // engine-thread timers) on shard 0, each node's processes on shard
-    // `1 + rank`. Lookahead is the network's α latency — a batching knob
-    // only; sequential and parallel runs are bit-identical regardless.
-    let mut sim = Sim::with_config(EngineConfig {
-        mode: config.engine,
-        shards: n + 1,
-        lookahead: spec.network.conservative_lookahead(),
-    });
+    let mut sim = Sim::new();
 
     // Stable node ids: lane names and attribution follow the id, while
     // channels/collectives use the contiguous rank. Identity on plain
@@ -747,7 +739,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                 let q = cpu_q.clone();
                 let results = results.clone();
                 let board = board.clone();
-                sim.spawn_on(1 + rank, &format!("n{rank}-cpu{core}"), move |ctx| {
+                sim.spawn(&format!("n{rank}-cpu{core}"), move |ctx| {
                     cpu_poller(ctx, &node, app.as_ref(), &q, &results, &board);
                 });
             }
@@ -766,7 +758,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                     let results = results.clone();
                     let ready = ready.clone();
                     let board = board.clone();
-                    sim.spawn_on(1 + rank, &format!("n{rank}-gpu{g}-s{stream}"), move |ctx| {
+                    sim.spawn(&format!("n{rank}-gpu{g}-s{stream}"), move |ctx| {
                         gpu_stream_worker(
                             ctx, &node, &gpu, g, app.as_ref(), &q, &results, &ready, config,
                             staged, &board,
@@ -787,7 +779,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
         let recovery = recovery.clone();
         let obs = obs.clone();
         let hooks = hooks.clone();
-        sim.spawn_on(1 + rank, &format!("n{rank}-worker"), move |ctx| {
+        sim.spawn(&format!("n{rank}-worker"), move |ctx| {
             worker_body(
                 ctx, rank, &node, comm, ctrl_ch, acks_ch, stalls, cpu_q, gpu_q, results, ready,
                 app, config, update, collect, recovery, obs, board, hooks,
@@ -1477,7 +1469,7 @@ fn worker_body<A: SpmdApp>(
     // i-1's stage spans at the same virtual instant this rank begins
     // iteration i, and engine scheduling may order them after our pump —
     // so eviction lags one full iteration behind. Everything below the
-    // *previous* iteration's start is committed on every engine.
+    // *previous* iteration's start is committed by then.
     let mut recorder_stable_before = 0.0_f64;
     let mut recorder_prev_t0 = 0.0_f64;
     for iter in 0..config.max_iterations {

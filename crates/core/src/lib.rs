@@ -83,7 +83,6 @@ pub use chaos::{
 pub use checkpoint::{Checkpoint, CheckpointStore, DirStore, MemStore};
 pub use cluster::ClusterSpec;
 pub use config::{CalibrationMode, JobConfig, SchedulingMode};
-pub use simtime::{EngineConfig, EngineMode};
 pub use faults::{
     CpuSlowdown, CrashEvent, FaultPlan, GpuCrash, GpuSlowdown, LinkFault, MasterCrash, NodeCrash,
     NodeStall,

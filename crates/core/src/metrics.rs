@@ -124,8 +124,8 @@ pub struct JobMetrics {
     pub total_seconds: f64,
     /// Simulation events processed by the engine during the run — the
     /// numerator of the simulated-events/sec throughput entries in
-    /// `prs bench`. Bit-identical across engine modes (the determinism
-    /// contract), and summed across epochs by the resilient driver.
+    /// `prs bench`. Bit-identical across runs (the determinism contract),
+    /// and summed across epochs by the resilient driver.
     pub sim_events: u64,
     /// One-off setup time (partitioning messages, resident-data staging) —
     /// excluded from iteration time like the paper's "one-off overhead".

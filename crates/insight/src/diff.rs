@@ -12,7 +12,7 @@
 //! Everything is pure arithmetic over `f64` virtual timestamps from the
 //! deterministic engine, and every container is a `BTreeMap` or a
 //! stably-sorted `Vec`, so a seeded pair of runs produces a
-//! byte-identical `diff.json` on every engine mode and repeat.
+//! byte-identical `diff.json` on every repeat.
 
 use std::collections::BTreeMap;
 

@@ -14,8 +14,8 @@
 //! a recorded run and `prs postmortem <dir>` over artifacts on disk).
 //!
 //! Everything here is a pure function of canonically-sorted inputs, so
-//! `postmortem.json` is byte-identical across engine modes, repeat runs,
-//! and in-memory-vs-disk assembly.
+//! `postmortem.json` is byte-identical across repeat runs and
+//! in-memory-vs-disk assembly.
 
 use crate::critical::analyze;
 use crate::trace::TraceEvent;

@@ -181,12 +181,6 @@ impl Network {
         self.params
     }
 
-    /// Conservative engine lookahead implied by this fabric (see
-    /// [`NetworkParams::conservative_lookahead`]).
-    pub fn lookahead(&self) -> simtime::SimTime {
-        self.params.conservative_lookahead()
-    }
-
     /// Creates the endpoint for `rank`. Each rank's communicator must be
     /// used from exactly one simulation process.
     pub fn communicator(self: &Arc<Self>, rank: usize) -> Communicator {
@@ -384,7 +378,7 @@ impl Communicator {
     /// Blocks until a message with `tag` arrives from *any* rank; returns
     /// `(src, payload)`. Matching order is deterministic: earliest-queued
     /// first, which under the engine's `(time, seq)` pop contract is
-    /// identical across runs and engine modes. Used by the sparse shuffle,
+    /// identical across runs. Used by the sparse shuffle,
     /// where the receiver knows how many batches are coming but not from
     /// whom.
     pub fn recv_any<T: Send + 'static>(&self, ctx: &SimCtx, tag: u64) -> (usize, T) {

@@ -23,15 +23,6 @@ impl NetworkParams {
         SimTime::from_secs_f64(bytes as f64 / self.bandwidth)
     }
 
-    /// Conservative lookahead for parallel engine stepping: the α latency
-    /// floor — no cross-node signal arrives sooner than one link latency,
-    /// so per-node event shards may advance that far between merges. Used
-    /// as [`simtime::EngineConfig::lookahead`]; purely a batching knob —
-    /// determinism never depends on its value (zero is always safe).
-    pub fn conservative_lookahead(&self) -> SimTime {
-        self.latency
-    }
-
     /// Gigabit Ethernet: 50 µs, 125 MB/s.
     pub fn gigabit_ethernet() -> Self {
         NetworkParams {

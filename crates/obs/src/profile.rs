@@ -7,7 +7,7 @@
 //! later) into collapsed-stack counts. Everything is a pure function of
 //! the frame set, the horizon, and the period: no wall clock, no
 //! randomness, so a seeded run reproduces byte-identical
-//! `profile.folded` / `profile.json` artifacts under every engine mode.
+//! `profile.folded` / `profile.json` artifacts on every run.
 //!
 //! Two frame sources feed the same fold:
 //!

@@ -20,14 +20,14 @@
 //!   virtual `now` and a `stable_before` watermark (the previous
 //!   iteration's start). Only events strictly older than the watermark
 //!   are eligible for eviction — every rank is guaranteed to have
-//!   committed its events below that watermark, under every engine;
+//!   committed its events below that watermark;
 //! - eviction order is the canonical `(t, rendered bytes)` order the
 //!   exporters use, so ties break identically everywhere;
 //! - fold bins are keyed by `(lane, kind, floor(t / rollup_period))` and
 //!   folds are commutative sums, so ingest order cannot leak.
 //!
 //! The result: `capture-<id>.jsonl` and everything derived from it is
-//! byte-identical across engines, seeds, and repeat runs — the property
+//! byte-identical across repeat runs — the property
 //! `tests/recorder_scenarios.rs` and the engine determinism suite pin.
 //!
 //! # Zero virtual-time overhead
@@ -449,7 +449,7 @@ impl Recorder {
         });
         // Budget-based: fold the canonically oldest stable events until
         // resident count fits. Only events below the stability watermark
-        // participate, so the choice is identical under every engine.
+        // participate, so the choice is identical on every run.
         if st.retained.len() > cfg.budget {
             let mut stable: Vec<(f64, String, usize)> = st
                 .retained

@@ -2,13 +2,9 @@
 //! and the in-process context handle ([`SimCtx`]).
 
 use crate::gate::Gate;
-use crate::kernel::{
-    BlockReason, EventPayload, KState, Kernel, Pid, ProcEntry, ProcState, Queues, Shard,
-    TraceEvent,
-};
+use crate::kernel::{BlockReason, EventPayload, KState, Kernel, Pid, ProcEntry, ProcState};
 use crate::time::SimTime;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,96 +16,6 @@ struct Shutdown;
 /// (closure + a few library frames), and 1000-node runs spawn thousands of
 /// them, so the default 8 MiB OS stacks are traded for 1 MiB.
 const PROC_STACK_BYTES: usize = 1 << 20;
-
-/// Which event-queue implementation the engine runs on. Every mode pops
-/// events in identical ascending `(time, seq)` order, so virtual clocks,
-/// event orders, and every derived artifact are bit-identical across modes
-/// (enforced by the differential determinism suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EngineMode {
-    /// The original global binary heap — O(log n) per event; kept as the
-    /// differential-testing reference.
-    LegacyHeap,
-    /// Calendar queue — amortized O(1) per event at million-event
-    /// populations. The default.
-    #[default]
-    Calendar,
-    /// Per-shard calendar queues advanced inside conservative α-lookahead
-    /// windows and merged deterministically at window boundaries. Opt-in.
-    Parallel,
-}
-
-impl EngineMode {
-    /// Stable lower-case name, used by CLI flags and bench artifacts.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EngineMode::LegacyHeap => "legacy",
-            EngineMode::Calendar => "calendar",
-            EngineMode::Parallel => "parallel",
-        }
-    }
-
-    /// Every mode, for differential test matrices.
-    pub const ALL: [EngineMode; 3] = [
-        EngineMode::LegacyHeap,
-        EngineMode::Calendar,
-        EngineMode::Parallel,
-    ];
-}
-
-impl std::fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "legacy" | "heap" => Ok(EngineMode::LegacyHeap),
-            "calendar" => Ok(EngineMode::Calendar),
-            "parallel" => Ok(EngineMode::Parallel),
-            other => Err(format!(
-                "unknown engine mode '{other}' (expected legacy|calendar|parallel)"
-            )),
-        }
-    }
-}
-
-/// Engine construction parameters (see [`Sim::with_config`]).
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Queue implementation.
-    pub mode: EngineMode,
-    /// Shard count for [`EngineMode::Parallel`]; typically one per
-    /// simulated node. Ignored by the sequential modes.
-    pub shards: usize,
-    /// Conservative lookahead window for [`EngineMode::Parallel`] — the
-    /// minimum cross-shard signalling latency (e.g. the network α). Zero is
-    /// always safe: windows then batch only equal-timestamp events.
-    pub lookahead: SimTime,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            mode: EngineMode::default(),
-            shards: 1,
-            lookahead: SimTime::ZERO,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Config for the given mode with default sharding.
-    pub fn for_mode(mode: EngineMode) -> Self {
-        EngineConfig {
-            mode,
-            ..Default::default()
-        }
-    }
-}
 
 /// Why a simulation run failed.
 #[derive(Debug)]
@@ -167,8 +73,6 @@ pub struct SimReport {
     pub end_time: SimTime,
     /// Total events processed by the engine loop.
     pub events_processed: u64,
-    /// Trace records, if tracing was enabled via [`Sim::enable_trace`].
-    pub trace: Vec<TraceEvent>,
 }
 
 /// Handle to a spawned process; join it from another process via
@@ -195,8 +99,7 @@ type ThreadRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
 /// virtual time with [`SimCtx::hold`] and synchronize through
 /// [`crate::Resource`] and [`crate::Channel`]. Exactly one process (or the
 /// engine) executes at any real-time instant, so runs are deterministic:
-/// events at equal virtual times fire in scheduling order — under every
-/// [`EngineMode`], including the sharded parallel stepper.
+/// events at equal virtual times fire in scheduling order.
 ///
 /// ```
 /// use simtime::{Sim, SimTime};
@@ -221,27 +124,12 @@ impl Default for Sim {
 }
 
 impl Sim {
-    /// Creates an empty simulation at t = 0 on the default engine.
+    /// Creates an empty simulation at t = 0.
     pub fn new() -> Self {
-        Self::with_config(EngineConfig::default())
-    }
-
-    /// Creates an empty simulation with an explicit engine configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
-        let queue = match config.mode {
-            EngineMode::LegacyHeap => Queues::new_legacy(),
-            EngineMode::Calendar => Queues::new_calendar(),
-            EngineMode::Parallel => Queues::new_sharded(config.shards, config.lookahead),
-        };
         Sim {
-            kernel: Kernel::new(queue),
+            kernel: Kernel::new(),
             threads: Arc::new(Mutex::new(Vec::new())),
         }
-    }
-
-    /// Turns on trace recording (see [`SimCtx::trace`]).
-    pub fn enable_trace(&self) {
-        self.kernel.state.lock().trace = Some(Vec::new());
     }
 
     /// Aborts the run with [`SimError::EventLimitExceeded`] after `limit`
@@ -251,22 +139,12 @@ impl Sim {
     }
 
     /// Spawns a root process that will begin executing at the current
-    /// virtual time once [`Sim::run`] is called. Lands on shard 0.
+    /// virtual time once [`Sim::run`] is called.
     pub fn spawn<F>(&mut self, name: &str, f: F) -> ProcHandle
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        self.spawn_on(0, name, f)
-    }
-
-    /// Spawns a root process whose events land on the given shard. Shards
-    /// are a placement hint for [`EngineMode::Parallel`] (typically one per
-    /// simulated node); they never affect event ordering.
-    pub fn spawn_on<F>(&mut self, shard: usize, name: &str, f: F) -> ProcHandle
-    where
-        F: FnOnce(&SimCtx) + Send + 'static,
-    {
-        spawn_process(&self.kernel, &self.threads, shard as Shard, name, f)
+        spawn_process(&self.kernel, &self.threads, name, f)
     }
 
     /// Schedules a lightweight timer `after` the current virtual time.
@@ -278,23 +156,12 @@ impl Sim {
     where
         F: FnOnce(&mut Timers) + Send + 'static,
     {
-        self.schedule_timer_on(0, after, f)
-    }
-
-    /// [`Sim::schedule`] with an explicit shard placement hint.
-    pub fn schedule_timer_on<F>(&self, shard: usize, after: SimTime, f: F)
-    where
-        F: FnOnce(&mut Timers) + Send + 'static,
-    {
         let mut ks = self.kernel.state.lock();
         let at = ks.now + after;
-        let saved = ks.cur_shard;
-        ks.cur_shard = shard as Shard;
         ks.schedule_action(at, move |ks| {
             let mut t = Timers { ks };
             f(&mut t);
         });
-        ks.cur_shard = saved;
     }
 
     /// Runs the event loop to completion and returns a report, or the first
@@ -324,7 +191,6 @@ impl Sim {
                             return Ok(SimReport {
                                 end_time: ks.now,
                                 events_processed: ks.events_processed,
-                                trace: ks.take_trace(),
                             });
                         }
                         None
@@ -400,8 +266,7 @@ impl Timers<'_> {
         self.ks.now
     }
 
-    /// Schedules a follow-up timer `after` the current virtual time, on the
-    /// same shard as the timer currently firing.
+    /// Schedules a follow-up timer `after` the current virtual time.
     pub fn schedule<F>(&mut self, after: SimTime, f: F)
     where
         F: FnOnce(&mut Timers) + Send + 'static,
@@ -414,13 +279,7 @@ impl Timers<'_> {
     }
 }
 
-fn spawn_process<F>(
-    kernel: &Arc<Kernel>,
-    threads: &ThreadRegistry,
-    shard: Shard,
-    name: &str,
-    f: F,
-) -> ProcHandle
+fn spawn_process<F>(kernel: &Arc<Kernel>, threads: &ThreadRegistry, name: &str, f: F) -> ProcHandle
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
@@ -432,7 +291,6 @@ where
         ks.procs.push(ProcEntry {
             name: name.to_string(),
             label,
-            shard,
             gate: gate.clone(),
             state: ProcState::Blocked,
             block_reason: BlockReason::NotStarted,
@@ -448,7 +306,6 @@ where
         kernel: kernel.clone(),
         threads: threads.clone(),
         pid,
-        shard,
         gate: gate.clone(),
     };
     let kernel2 = kernel.clone();
@@ -521,7 +378,6 @@ pub struct SimCtx {
     kernel: Arc<Kernel>,
     threads: ThreadRegistry,
     pid: Pid,
-    shard: Shard,
     gate: Arc<Gate>,
 }
 
@@ -543,21 +399,12 @@ impl SimCtx {
         self.yield_to_engine();
     }
 
-    /// Spawns a child process starting at the current virtual time, on the
-    /// parent's shard.
+    /// Spawns a child process starting at the current virtual time.
     pub fn spawn<F>(&self, name: &str, f: F) -> ProcHandle
     where
         F: FnOnce(&SimCtx) + Send + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, self.shard, name, f)
-    }
-
-    /// Spawns a child process on an explicit shard (see [`Sim::spawn_on`]).
-    pub fn spawn_on<F>(&self, shard: usize, name: &str, f: F) -> ProcHandle
-    where
-        F: FnOnce(&SimCtx) + Send + 'static,
-    {
-        spawn_process(&self.kernel, &self.threads, shard as Shard, name, f)
+        spawn_process(&self.kernel, &self.threads, name, f)
     }
 
     /// Blocks until the process behind `handle` finishes. Returns
@@ -580,13 +427,6 @@ impl SimCtx {
         for h in handles {
             self.join(h);
         }
-    }
-
-    /// Emits a trace record if tracing is enabled.
-    pub fn trace(&self, message: impl Into<String>) {
-        let mut ks = self.kernel.state.lock();
-        let msg = message.into();
-        ks.emit_trace(self.pid, msg);
     }
 
     pub(crate) fn pid(&self) -> Pid {

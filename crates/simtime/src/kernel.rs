@@ -1,20 +1,18 @@
-//! Engine internals: the event queues, the process table, and the shared
+//! Engine internals: the event queue, the process table, and the shared
 //! kernel state that processes and synchronization primitives manipulate.
 //!
-//! Three interchangeable event-queue implementations back the engine (see
-//! [`crate::EngineMode`]); all of them pop events in identical ascending
-//! `(time, seq)` order, which is the engine's determinism contract. The
-//! kernel also owns two allocation-avoidance structures for million-event
-//! runs: an action arena that recycles event slots instead of allocating a
-//! fresh queue node per event, and a label interner so block reasons and
-//! trace attribution are integer handles rather than per-event `String`s.
+//! Events live in one [`CalendarQueue`] and pop in ascending `(time, seq)`
+//! order, where `seq` is the kernel's scheduling counter; that order is the
+//! engine's determinism contract. The kernel also owns two
+//! allocation-avoidance structures for million-event runs: an action arena
+//! that recycles event slots instead of allocating a fresh queue node per
+//! event, and a label interner so block reasons are integer handles rather
+//! than per-event `String`s.
 
 use crate::gate::Gate;
 use crate::queue::CalendarQueue;
 use crate::time::SimTime;
 use parking_lot::Mutex;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -24,12 +22,8 @@ pub(crate) type Pid = usize;
 /// Interned-string handle (index into the kernel's label table).
 pub(crate) type Label = u32;
 
-/// Shard identifier for the sharded queue; performance hint only — never
-/// affects event ordering.
-pub(crate) type Shard = u32;
-
 /// What an event does when it fires. Kept `Copy`-small so queue entries are
-/// cheap to move during bucket sweeps and window merges; the boxed action
+/// cheap to move during bucket sweeps and resizes; the boxed action
 /// closures live in the arena, referenced by slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventPayload {
@@ -46,25 +40,25 @@ pub(crate) type Action = Box<dyn FnOnce(&mut KState) + Send>;
 /// scheduling reuses slots instead of growing.
 #[derive(Default)]
 pub(crate) struct ActionArena {
-    slots: Vec<Option<(Shard, Action)>>,
+    slots: Vec<Option<Action>>,
     free: Vec<u32>,
 }
 
 impl ActionArena {
-    fn insert(&mut self, shard: Shard, f: Action) -> u32 {
+    fn insert(&mut self, f: Action) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some((shard, f));
+                self.slots[i as usize] = Some(f);
                 i
             }
             None => {
-                self.slots.push(Some((shard, f)));
+                self.slots.push(Some(f));
                 (self.slots.len() - 1) as u32
             }
         }
     }
 
-    fn take(&mut self, slot: u32) -> (Shard, Action) {
+    fn take(&mut self, slot: u32) -> Action {
         let v = self.slots[slot as usize]
             .take()
             .expect("action slot fired twice");
@@ -74,7 +68,7 @@ impl ActionArena {
 }
 
 /// Deduplicating string table. Labels identify channels, resources, and
-/// processes in block reasons and traces without per-event allocation.
+/// processes in block reasons without per-event allocation.
 #[derive(Default)]
 pub(crate) struct Interner {
     strings: Vec<Arc<str>>,
@@ -145,231 +139,14 @@ pub(crate) enum ProcState {
 
 pub(crate) struct ProcEntry {
     pub name: String,
-    /// Interned copy of `name`, for trace records and join reasons.
+    /// Interned copy of `name`, for join reasons.
     pub label: Label,
-    /// Event shard this process's wakes land on (sharded mode only).
-    pub shard: Shard,
     pub gate: Arc<Gate>,
     pub state: ProcState,
     /// Reason recorded before blocking, for deadlock reports.
     pub block_reason: BlockReason,
     /// Pids waiting in `join` for this process to finish.
     pub join_waiters: Vec<Pid>,
-}
-
-/// A single timestamped trace record, available when tracing is enabled.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Virtual time at which the record was emitted.
-    pub time: SimTime,
-    /// Name of the emitting process.
-    pub process: String,
-    /// Free-form message.
-    pub message: String,
-}
-
-/// Compact in-flight trace record; materialized to [`TraceEvent`] (with the
-/// process name resolved) only when the run's report is built.
-pub(crate) struct RawTrace {
-    time: SimTime,
-    process: Label,
-    message: String,
-}
-
-/// A heap entry for the legacy queue and the intra-window heap.
-pub(crate) struct HeapEv {
-    pub time: SimTime,
-    pub seq: u64,
-    pub payload: EventPayload,
-}
-
-impl PartialEq for HeapEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEv {}
-
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEv {
-    /// Reversed so that `BinaryHeap` (a max-heap) pops the earliest
-    /// `(time, seq)` first. `seq` breaks ties deterministically in
-    /// scheduling order — never by insertion hash or pointer identity.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Per-node event shards advanced inside conservative lookahead windows.
-///
-/// Determinism argument: a window opens at the global minimum pending time
-/// `t0` and spans `[t0, t0 + lookahead]`. Every event already pending with
-/// `time <= window_end` is drained from the shards into a sorted staging
-/// run (the per-shard drains are independent — the parallelizable step).
-/// Events *scheduled during* the window carry strictly larger `seq` than
-/// everything staged; those landing strictly inside the window go to the
-/// intra-window heap, those at or past the boundary to their shard. Merging
-/// `staging` and `intra` by `(time, seq)` therefore yields exactly the
-/// globally sorted event order — bit-identical to the sequential engines.
-pub(crate) struct ShardedQueue {
-    shards: Vec<CalendarQueue<EventPayload>>,
-    lookahead: SimTime,
-    /// Current window's drained events, sorted ascending; `staged_pos`
-    /// marks the consumption frontier.
-    staged: Vec<(SimTime, u64, EventPayload)>,
-    staged_pos: usize,
-    /// Events scheduled mid-window with `time < window_end`.
-    intra: BinaryHeap<HeapEv>,
-    window_end: SimTime,
-    len: usize,
-}
-
-impl ShardedQueue {
-    fn new(shards: usize, lookahead: SimTime) -> Self {
-        ShardedQueue {
-            shards: (0..shards.max(1)).map(|_| CalendarQueue::new()).collect(),
-            lookahead,
-            staged: Vec::new(),
-            staged_pos: 0,
-            intra: BinaryHeap::new(),
-            window_end: SimTime::ZERO,
-            len: 0,
-        }
-    }
-
-    fn window_active(&self) -> bool {
-        self.staged_pos < self.staged.len() || !self.intra.is_empty()
-    }
-
-    fn push(&mut self, time: SimTime, seq: u64, payload: EventPayload, shard: Shard) {
-        if self.window_active() && time < self.window_end {
-            self.intra.push(HeapEv { time, seq, payload });
-        } else {
-            let s = shard as usize % self.shards.len();
-            self.shards[s].schedule(time, seq, payload);
-        }
-        self.len += 1;
-    }
-
-    fn open_window(&mut self) -> bool {
-        let mut t0: Option<SimTime> = None;
-        for s in &mut self.shards {
-            if let Some((t, _)) = s.peek() {
-                t0 = Some(match t0 {
-                    Some(cur) => cur.min(t),
-                    None => t,
-                });
-            }
-        }
-        let Some(t0) = t0 else {
-            return false;
-        };
-        self.window_end = t0 + self.lookahead;
-        self.staged.clear();
-        self.staged_pos = 0;
-        // Independent per-shard drains: each shard owns its calendar, so
-        // under a real work-stealing runtime these proceed concurrently;
-        // the in-tree rayon shim runs them sequentially with identical
-        // results (the merge below is order-insensitive).
-        use rayon::prelude::*;
-        let limit = self.window_end;
-        let runs: Vec<Vec<(SimTime, u64, EventPayload)>> = self
-            .shards
-            .par_iter_mut()
-            .map(|shard| {
-                let mut out = Vec::new();
-                shard.drain_until(limit, &mut out);
-                out
-            })
-            .collect();
-        for run in runs {
-            self.staged.extend(run);
-        }
-        // Each run is already sorted; the adaptive merge sort restores the
-        // global (time, seq) order across shards cheaply.
-        self.staged.sort_by_key(|&(t, s, _)| (t, s));
-        true
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, EventPayload)> {
-        loop {
-            let staged_head = self.staged.get(self.staged_pos).map(|&(t, s, _)| (t, s));
-            let intra_head = self.intra.peek().map(|e| (e.time, e.seq));
-            match (staged_head, intra_head) {
-                (Some(sh), Some(ih)) => {
-                    self.len -= 1;
-                    if sh <= ih {
-                        self.staged_pos += 1;
-                        return Some(self.staged[self.staged_pos - 1]);
-                    }
-                    let e = self.intra.pop().expect("peeked");
-                    return Some((e.time, e.seq, e.payload));
-                }
-                (Some(_), None) => {
-                    self.len -= 1;
-                    self.staged_pos += 1;
-                    return Some(self.staged[self.staged_pos - 1]);
-                }
-                (None, Some(_)) => {
-                    self.len -= 1;
-                    let e = self.intra.pop().expect("peeked");
-                    return Some((e.time, e.seq, e.payload));
-                }
-                (None, None) => {
-                    if !self.open_window() {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The engine's event queue, in one of three interchangeable modes. All
-/// modes pop in ascending `(time, seq)` order.
-pub(crate) enum Queues {
-    /// The original global `BinaryHeap` — kept as the differential-testing
-    /// reference.
-    Legacy(BinaryHeap<HeapEv>),
-    /// Single calendar queue (the default).
-    Calendar(CalendarQueue<EventPayload>),
-    /// Per-shard calendar queues merged at conservative lookahead windows.
-    Sharded(ShardedQueue),
-}
-
-impl Queues {
-    pub(crate) fn new_legacy() -> Self {
-        Queues::Legacy(BinaryHeap::new())
-    }
-
-    pub(crate) fn new_calendar() -> Self {
-        Queues::Calendar(CalendarQueue::new())
-    }
-
-    pub(crate) fn new_sharded(shards: usize, lookahead: SimTime) -> Self {
-        Queues::Sharded(ShardedQueue::new(shards, lookahead))
-    }
-
-    fn push(&mut self, time: SimTime, seq: u64, payload: EventPayload, shard: Shard) {
-        match self {
-            Queues::Legacy(h) => h.push(HeapEv { time, seq, payload }),
-            Queues::Calendar(q) => q.schedule(time, seq, payload),
-            Queues::Sharded(q) => q.push(time, seq, payload, shard),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, u64, EventPayload)> {
-        match self {
-            Queues::Legacy(h) => h.pop().map(|e| (e.time, e.seq, e.payload)),
-            Queues::Calendar(q) => q.pop(),
-            Queues::Sharded(q) => q.pop(),
-        }
-    }
 }
 
 /// Mutable kernel state, guarded by the kernel mutex. Because only one
@@ -379,37 +156,31 @@ impl Queues {
 pub(crate) struct KState {
     pub now: SimTime,
     pub seq: u64,
-    pub queue: Queues,
+    pub queue: CalendarQueue<EventPayload>,
     pub actions: ActionArena,
     pub labels: Interner,
     pub procs: Vec<ProcEntry>,
     pub live: usize,
-    pub trace: Option<Vec<RawTrace>>,
     pub events_processed: u64,
     pub event_limit: Option<u64>,
     pub shutdown: bool,
     pub panic_info: Option<(String, String)>,
-    /// Shard of the event currently firing; actions and spawns it causes
-    /// inherit it. Placement only — ordering never depends on it.
-    pub cur_shard: Shard,
 }
 
 impl KState {
-    pub fn new(queue: Queues) -> Self {
+    pub fn new() -> Self {
         KState {
             now: SimTime::ZERO,
             seq: 0,
-            queue,
+            queue: CalendarQueue::new(),
             actions: ActionArena::default(),
             labels: Interner::default(),
             procs: Vec::new(),
             live: 0,
-            trace: None,
             events_processed: 0,
             event_limit: None,
             shutdown: false,
             panic_info: None,
-            cur_shard: 0,
         }
     }
 
@@ -424,26 +195,22 @@ impl KState {
         self.labels.intern(s)
     }
 
-    /// Schedules a wake of `pid` at absolute time `at`. The event lands on
-    /// the process's shard.
+    /// Schedules a wake of `pid` at absolute time `at`.
     pub fn schedule_wake(&mut self, at: SimTime, pid: Pid) {
         debug_assert!(at >= self.now, "cannot schedule in the past");
         let seq = self.next_seq();
-        let shard = self.procs[pid].shard;
-        self.queue.push(at, seq, EventPayload::Wake(pid), shard);
+        self.queue.schedule(at, seq, EventPayload::Wake(pid));
     }
 
-    /// Schedules a kernel action at absolute time `at`, on the shard of the
-    /// event currently firing.
+    /// Schedules a kernel action at absolute time `at`.
     pub fn schedule_action<F>(&mut self, at: SimTime, f: F)
     where
         F: FnOnce(&mut KState) + Send + 'static,
     {
         debug_assert!(at >= self.now, "cannot schedule in the past");
         let seq = self.next_seq();
-        let shard = self.cur_shard;
-        let slot = self.actions.insert(shard, Box::new(f));
-        self.queue.push(at, seq, EventPayload::Action(slot), shard);
+        let slot = self.actions.insert(Box::new(f));
+        self.queue.schedule(at, seq, EventPayload::Action(slot));
     }
 
     /// Pops the next event in global `(time, seq)` order, advancing `now`
@@ -452,44 +219,12 @@ impl KState {
         let (time, _seq, payload) = self.queue.pop()?;
         self.now = time;
         self.events_processed += 1;
-        self.cur_shard = match payload {
-            EventPayload::Wake(pid) => self.procs[pid].shard,
-            EventPayload::Action(slot) => {
-                self.actions.slots[slot as usize]
-                    .as_ref()
-                    .expect("pending action")
-                    .0
-            }
-        };
         Some((time, payload))
     }
 
     /// Removes the fired action from the arena.
     pub fn take_action(&mut self, slot: u32) -> Action {
-        self.actions.take(slot).1
-    }
-
-    pub fn emit_trace(&mut self, pid: Pid, message: String) {
-        if let Some(trace) = &mut self.trace {
-            let process = self.procs[pid].label;
-            trace.push(RawTrace {
-                time: self.now,
-                process,
-                message,
-            });
-        }
-    }
-
-    /// Materializes the compact trace into public records, in emit order.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        let raw = self.trace.take().unwrap_or_default();
-        raw.into_iter()
-            .map(|r| TraceEvent {
-                time: r.time,
-                process: self.labels.resolve(r.process).to_string(),
-                message: r.message,
-            })
-            .collect()
+        self.actions.take(slot)
     }
 
     /// Names and block reasons of all non-finished processes, for deadlock
@@ -510,9 +245,9 @@ pub(crate) struct Kernel {
 }
 
 impl Kernel {
-    pub fn new(queue: Queues) -> Arc<Kernel> {
+    pub fn new() -> Arc<Kernel> {
         Arc::new(Kernel {
-            state: Mutex::new(KState::new(queue)),
+            state: Mutex::new(KState::new()),
             engine_gate: Gate::new(),
         })
     }
@@ -527,7 +262,6 @@ mod tests {
         ProcEntry {
             name: name.into(),
             label,
-            shard: 0,
             gate: Arc::new(crate::gate::Gate::new()),
             state: ProcState::Blocked,
             block_reason: BlockReason::NotStarted,
@@ -537,39 +271,23 @@ mod tests {
 
     #[test]
     fn queues_pop_in_time_then_seq_order() {
-        for queue in [
-            Queues::new_legacy(),
-            Queues::new_calendar(),
-            Queues::new_sharded(4, SimTime::from_millis(1.0)),
-        ] {
-            let mut ks = KState::new(queue);
-            let mut labels = Interner::default();
-            for name in ["p0", "p1", "p2"] {
-                let e = proc_entry(name, &mut labels);
-                ks.procs.push(e);
-            }
-            ks.schedule_wake(SimTime::from_secs_f64(2.0), 0);
-            ks.schedule_wake(SimTime::from_secs_f64(1.0), 1);
-            ks.schedule_wake(SimTime::from_secs_f64(1.0), 2);
-            let pops: Vec<Pid> = std::iter::from_fn(|| {
-                ks.pop_event().map(|(_, p)| match p {
-                    EventPayload::Wake(pid) => pid,
-                    _ => unreachable!(),
-                })
-            })
-            .collect();
-            assert_eq!(pops, vec![1, 2, 0], "ties broken by scheduling order");
-        }
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let mut ks = KState::new(Queues::new_calendar());
+        let mut ks = KState::new();
         let mut labels = Interner::default();
-        let e = proc_entry("p", &mut labels);
-        ks.procs.push(e);
-        ks.emit_trace(0, "hello".into());
-        assert!(ks.trace.is_none());
+        for name in ["p0", "p1", "p2"] {
+            let e = proc_entry(name, &mut labels);
+            ks.procs.push(e);
+        }
+        ks.schedule_wake(SimTime::from_secs_f64(2.0), 0);
+        ks.schedule_wake(SimTime::from_secs_f64(1.0), 1);
+        ks.schedule_wake(SimTime::from_secs_f64(1.0), 2);
+        let pops: Vec<Pid> = std::iter::from_fn(|| {
+            ks.pop_event().map(|(_, p)| match p {
+                EventPayload::Wake(pid) => pid,
+                _ => unreachable!(),
+            })
+        })
+        .collect();
+        assert_eq!(pops, vec![1, 2, 0], "ties broken by scheduling order");
     }
 
     #[test]
@@ -602,46 +320,5 @@ mod tests {
             "acquire 2 of 'acks'"
         );
         assert_eq!(BlockReason::Join(ch).render(&i), "join 'acks'");
-    }
-
-    #[test]
-    fn sharded_queue_matches_heap_order() {
-        let mut sharded = ShardedQueue::new(3, SimTime::from_millis(5.0));
-        let mut heap: BinaryHeap<HeapEv> = BinaryHeap::new();
-        let times = [3.0, 1.0, 1.0, 4.0, 0.5, 2.5, 2.5, 0.5];
-        for (i, &t) in times.iter().enumerate() {
-            let time = SimTime::from_secs_f64(t);
-            let payload = EventPayload::Wake(i);
-            sharded.push(time, i as u64, payload, (i % 3) as Shard);
-            heap.push(HeapEv {
-                time,
-                seq: i as u64,
-                payload,
-            });
-        }
-        loop {
-            let a = sharded.pop().map(|(t, s, _)| (t, s));
-            let b = heap.pop().map(|e| (e.time, e.seq));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_mid_window_pushes_stay_ordered() {
-        // Open a window, then push events inside and past it; pops must
-        // still come out globally (time, seq)-sorted.
-        let mut q = ShardedQueue::new(2, SimTime::from_secs(10));
-        q.push(SimTime::from_secs(1), 0, EventPayload::Wake(0), 0);
-        q.push(SimTime::from_secs(5), 1, EventPayload::Wake(1), 1);
-        assert_eq!(q.pop().map(|(t, s, _)| (t, s)), Some((SimTime::from_secs(1), 0)));
-        // Window is [1, 11]; these land in the intra heap / shard split.
-        q.push(SimTime::from_secs(3), 2, EventPayload::Wake(2), 0);
-        q.push(SimTime::from_secs(11), 3, EventPayload::Wake(3), 1);
-        q.push(SimTime::from_secs(20), 4, EventPayload::Wake(4), 0);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, s, _)| s)).collect();
-        assert_eq!(order, vec![2, 1, 3, 4]);
     }
 }

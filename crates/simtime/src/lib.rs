@@ -50,10 +50,7 @@ pub mod stress;
 mod time;
 
 pub use channel::{Channel, RecvOutcome};
-pub use engine::{
-    EngineConfig, EngineMode, ProcHandle, Sim, SimCtx, SimError, SimReport, Timers,
-};
-pub use kernel::TraceEvent;
+pub use engine::{ProcHandle, Sim, SimCtx, SimError, SimReport, Timers};
 pub use queue::CalendarQueue;
 pub use resource::Resource;
 pub use stackctx::{StackCtx, StackFrame};
@@ -183,25 +180,6 @@ mod tests {
             Err(SimError::EventLimitExceeded { limit }) => assert_eq!(limit, 100),
             other => panic!("expected limit error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn trace_records_in_time_order() {
-        let mut sim = Sim::new();
-        sim.enable_trace();
-        sim.spawn("a", |ctx| {
-            ctx.trace("start");
-            ctx.hold(SimTime::from_secs(2));
-            ctx.trace("end");
-        });
-        sim.spawn("b", |ctx| {
-            ctx.hold(SimTime::from_secs(1));
-            ctx.trace("middle");
-        });
-        let report = sim.run().unwrap();
-        let msgs: Vec<_> = report.trace.iter().map(|t| t.message.as_str()).collect();
-        assert_eq!(msgs, vec!["start", "middle", "end"]);
-        assert_eq!(report.trace[1].process, "b");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The calendar event queue: an O(1)-amortized priority queue for
-//! discrete-event timestamps, replacing the engine's original global
-//! `BinaryHeap` on the million-event scaling path.
+//! discrete-event timestamps, and the engine's only event queue.
 //!
 //! A calendar queue (Brown, CACM 1988) hashes each event into a "day"
 //! bucket by `floor(time / width) % buckets`, like appointments written
@@ -156,16 +155,6 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    /// The earliest `(time, seq)` key without removing it.
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
-        let loc = self.locate()?;
-        let e = match loc {
-            Loc::Bucket(b, i) => &self.buckets[b][i],
-            Loc::Overflow(i) => &self.overflow[i],
-        };
-        Some((SimTime::from_secs_f64(e.time), e.seq))
-    }
-
     /// Removes and returns the earliest entry by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let loc = self.locate()?;
@@ -178,16 +167,6 @@ impl<T> CalendarQueue<T> {
             self.resize(self.buckets.len() / 2);
         }
         Some((SimTime::from_secs_f64(e.time), e.seq, e.payload))
-    }
-
-    /// Pops every entry with `time <= limit`, in `(time, seq)` order.
-    pub fn drain_until(&mut self, limit: SimTime, out: &mut Vec<(SimTime, u64, T)>) {
-        while let Some((t, _)) = self.peek() {
-            if t > limit {
-                break;
-            }
-            out.push(self.pop().expect("peek saw an entry"));
-        }
     }
 
     /// Finds the earliest entry, advancing the sweep to its day.
@@ -416,26 +395,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_until_is_inclusive_and_ordered() {
-        let mut q = CalendarQueue::new();
-        for (i, s) in [3.0, 1.0, 2.0, 2.0, 7.0].iter().enumerate() {
-            q.schedule(t(*s), i as u64, i);
-        }
-        let mut out = Vec::new();
-        q.drain_until(t(2.0), &mut out);
-        let seqs: Vec<u64> = out.iter().map(|(_, s, _)| *s).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
     fn past_insert_rewinds_the_sweep() {
         let mut q = CalendarQueue::new();
         q.schedule(t(100.0), 0, "late");
-        assert_eq!(q.peek().map(|(time, _)| time), Some(t(100.0)));
-        // An entry behind the sweep cursor must still pop first.
-        q.schedule(t(1.0), 1, "early");
-        assert_eq!(q.pop().map(|(_, _, p)| p), Some("early"));
+        q.schedule(t(200.0), 1, "later");
         assert_eq!(q.pop().map(|(_, _, p)| p), Some("late"));
+        // An entry behind the sweep cursor must still pop first.
+        q.schedule(t(1.0), 2, "early");
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some("early"));
+        assert_eq!(q.pop().map(|(_, _, p)| p), Some("later"));
     }
 }

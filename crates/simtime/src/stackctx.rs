@@ -174,8 +174,7 @@ impl StackCtx {
     /// ascending, then end *descending* (outer frames before the inner
     /// frames they contain), then lane, then frame name. The ordering is
     /// a pure function of the frame set, so seeded runs reproduce
-    /// byte-identical profiles regardless of engine mode or append
-    /// interleaving.
+    /// byte-identical profiles regardless of append interleaving.
     pub fn frames(&self) -> Vec<StackFrame> {
         let mut frames = match &self.inner {
             Some(inner) => inner.frames.lock().clone(),

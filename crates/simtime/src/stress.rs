@@ -4,16 +4,16 @@
 //! queue holds a million entries while events fire.
 //!
 //! Timers use [`crate::Sim::schedule`] (engine-thread callbacks, no process
-//! handoff), so the measured cost is queue discipline plus arena overhead —
-//! exactly the path the calendar queue accelerates over the legacy heap.
+//! handoff), so the measured cost is the calendar queue plus arena
+//! overhead.
 
-use crate::engine::{EngineConfig, EngineMode, Sim, Timers};
+use crate::engine::{Sim, Timers};
 use crate::time::SimTime;
 
 /// Parameters for the synthetic stress run.
 #[derive(Debug, Clone, Copy)]
 pub struct StressSpec {
-    /// Simulated node count (also the shard count in parallel mode).
+    /// Simulated node count.
     pub nodes: usize,
     /// Resident timers per node; total population = `nodes * timers_per_node`.
     pub timers_per_node: usize,
@@ -51,15 +51,10 @@ fn gap_nanos(node: usize, timer: usize, round: usize) -> f64 {
     (1 + h % 1_000_000) as f64 // 1ns ..= 1ms
 }
 
-/// Runs the synthetic under the given engine mode and returns
-/// `(events_processed, end_time)`. Identical across modes — callers use
-/// that to cross-check determinism while measuring wall-clock outside.
-pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
-    let sim = Sim::with_config(EngineConfig {
-        mode,
-        shards: spec.nodes,
-        lookahead: SimTime::from_micros(2.0),
-    });
+/// Runs the synthetic and returns `(events_processed, end_time)`; callers
+/// measure wall-clock outside.
+pub fn run_stress(spec: StressSpec) -> (u64, SimTime) {
+    let sim = Sim::new();
 
     fn arm(t: &mut Timers, node: usize, timer: usize, round: usize, refires: usize) {
         let gap = SimTime::from_nanos(gap_nanos(node, timer, round));
@@ -74,7 +69,7 @@ pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
         for timer in 0..spec.timers_per_node {
             let refires = spec.refires;
             let gap = SimTime::from_nanos(gap_nanos(node, timer, 0));
-            sim.schedule_timer_on(node, gap, move |t| {
+            sim.schedule(gap, move |t| {
                 if refires > 0 {
                     arm(t, node, timer, 1, refires);
                 }
@@ -88,12 +83,11 @@ pub fn run_stress(mode: EngineMode, spec: StressSpec) -> (u64, SimTime) {
 
 /// The seed engine's only timer mechanism, for the `speedup_vs_legacy`
 /// bench ratio: `procs` OS-thread processes each `hold()`ing `holds`
-/// times through the given queue discipline. Every event pays two gate
-/// context switches plus the per-block `format!` the old engine did, so
-/// this is the honest "before" of the engine rework. Returns the events
-/// processed (callers time the run themselves).
-pub fn run_hold_baseline(mode: EngineMode, procs: usize, holds: usize) -> u64 {
-    let mut sim = Sim::with_config(EngineConfig::for_mode(mode));
+/// times. Every event pays two gate context switches, so this is the
+/// honest "before" of timers that run on the engine thread. Returns the
+/// events processed (callers time the run themselves).
+pub fn run_hold_baseline(procs: usize, holds: usize) -> u64 {
+    let mut sim = Sim::new();
     for p in 0..procs {
         sim.spawn(&format!("hold{p}"), move |ctx| {
             for round in 0..holds {
@@ -112,21 +106,19 @@ mod tests {
     #[test]
     fn hold_baseline_counts_every_hold() {
         // One start wake per process plus one wake per hold.
-        let events = run_hold_baseline(EngineMode::LegacyHeap, 10, 7);
+        let events = run_hold_baseline(10, 7);
         assert_eq!(events, 10 * (7 + 1));
     }
 
     #[test]
-    fn stress_is_identical_across_modes() {
+    fn stress_fires_every_event_and_is_repeat_stable() {
         let spec = StressSpec {
             nodes: 8,
             timers_per_node: 50,
             refires: 2,
         };
-        let baseline = run_stress(EngineMode::LegacyHeap, spec);
-        assert_eq!(baseline.0, spec.total_events());
-        for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-            assert_eq!(run_stress(mode, spec), baseline, "mode {mode} diverged");
-        }
+        let first = run_stress(spec);
+        assert_eq!(first.0, spec.total_events());
+        assert_eq!(run_stress(spec), first, "repeat run diverged");
     }
 }

@@ -29,7 +29,7 @@
 //!
 //! [`watch`] consumes a *set* of events: the stream is canonically sorted
 //! before any stateful pass runs, so the same recorded run — whatever the
-//! engine mode or append order — produces byte-identical `alerts.jsonl`
+//! append order — produces byte-identical `alerts.jsonl`
 //! and `incidents.jsonl`. The watchdog reads virtual timestamps and never
 //! advances virtual time.
 
@@ -241,7 +241,7 @@ impl WatchOutput {
 
 /// Canonical total order on rollup events: `(t, lane, kind, dur, iter,
 /// attrs)`. Two runs that record the same event *set* — in any append
-/// order, under any engine mode — sort to the same sequence, which is
+/// order — sort to the same sequence, which is
 /// what makes every stateful detector pass deterministic.
 fn canonical_cmp(a: &RollupEvent, b: &RollupEvent) -> std::cmp::Ordering {
     a.t.total_cmp(&b.t)
@@ -306,7 +306,7 @@ pub fn watch(
 ///
 /// Windows are derived from canonically-sorted incidents and the capture
 /// reads the recorder's settled, deterministic retained/fold state, so
-/// the artifacts are byte-identical across engines and repeat runs. When
+/// the artifacts are byte-identical across repeat runs. When
 /// the recorder is disabled this is a no-op returning no captures.
 pub fn capture_incidents(out: &mut WatchOutput, recorder: &obs::Recorder) -> Vec<obs::Capture> {
     if !recorder.is_enabled() {

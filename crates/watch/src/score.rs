@@ -179,8 +179,7 @@ impl WatchScore {
     }
 
     /// Canonical `watch_score.json` (pretty, trailing newline). A pure
-    /// function of the scored trials and seed — engine mode deliberately
-    /// never appears.
+    /// function of the scored trials and seed.
     pub fn to_json(&self) -> String {
         let mut kinds = BTreeMap::new();
         for (k, v) in &self.kinds {

@@ -1,11 +1,10 @@
-//! Differential determinism suite for the engine rework.
+//! Determinism suite for the simulation engine.
 //!
-//! The engine contract (docs/engine.md) says the three queue disciplines —
-//! legacy heap, calendar, sharded-parallel — are *observationally
-//! indistinguishable*: same virtual clocks (to the bit), same event
-//! orders, same exporter artifacts, for every scenario the runtime can
-//! produce. This suite runs the existing fault/chaos/tracing scenarios
-//! under all of [`EngineMode::ALL`] and diffs everything a user could
+//! The engine contract (docs/engine.md) says a run is a pure function of
+//! its inputs: events pop in `(time, seq)` order, so the same scenario
+//! renders the same virtual clocks (to the bit), event orders and
+//! exporter artifacts every time. This suite runs the existing
+//! fault/chaos/tracing scenarios twice and diffs everything a user could
 //! ever diff:
 //!
 //! 1. the final virtual makespan, compared by `f64::to_bits`;
@@ -18,16 +17,19 @@
 //!    `watch_score.json`, byte for byte;
 //! 7. the profiler's `stacks.jsonl` / `profile.folded` / `profile.json`
 //!    and the differential attribution's `diff.json`, byte for byte;
-//! 8. repeated runs under one mode (no hidden global state);
-//! 9. the elastic-membership driver: a non-empty churn plan (and the
+//! 8. the elastic-membership driver: a non-empty churn plan (and the
 //!    churn chaos grid's `churn_report.json`) renders byte-identical
-//!    artifacts, epoch ledgers and cluster-size traces on every engine.
+//!    artifacts, epoch ledgers and cluster-size traces on every run.
+//!
+//! Repeat runs share one process, so any hidden global state (thread
+//! scheduling, hash seeds, leftover statics) that leaked into an artifact
+//! would show up as a diff.
 
 use obs::Obs;
 use prs_core::{
     run_chaos, run_chaos_churn, run_chaos_scored, run_elastic_observed, run_iterative,
-    run_iterative_observed, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, EngineMode,
-    FaultPlan, IterativeApp, JobConfig, Key, MemStore, MembershipPlan, SpmdApp,
+    run_iterative_observed, ChaosConfig, CheckpointableApp, ClusterSpec, DeviceClass, FaultPlan,
+    IterativeApp, JobConfig, Key, MemStore, MembershipPlan, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -36,7 +38,7 @@ use std::sync::Arc;
 
 /// Deterministic value histogram (same shape as the fault-scenario
 /// suite): device- and partitioning-independent outputs, so any
-/// divergence between engines is a real ordering bug, not float noise.
+/// divergence between runs is a real ordering bug, not float noise.
 struct HistApp {
     n: usize,
     k: u64,
@@ -161,10 +163,10 @@ struct RunArtifacts {
     profile_json: String,
 }
 
-fn run_under(spec: &ClusterSpec, config: JobConfig, mode: EngineMode) -> RunArtifacts {
+fn run_scenario(spec: &ClusterSpec, config: JobConfig) -> RunArtifacts {
     let obs = Obs::recording();
-    let result = run_iterative_observed(spec, hist(), config.with_engine(mode), obs.clone())
-        .expect("scenario must complete under every engine");
+    let result =
+        run_iterative_observed(spec, hist(), config, obs.clone()).expect("scenario must complete");
     let roll_events: Vec<obs::rollup::RollupEvent> =
         obs.bus.events().iter().map(Into::into).collect();
     let watched = watch::watch(&roll_events, &obs.audit.records(), &watch::WatchConfig::default());
@@ -189,229 +191,122 @@ fn run_under(spec: &ClusterSpec, config: JobConfig, mode: EngineMode) -> RunArti
     }
 }
 
-fn assert_identical(name: &str, mode: EngineMode, got: &RunArtifacts, want: &RunArtifacts) {
+fn assert_identical(name: &str, got: &RunArtifacts, want: &RunArtifacts) {
     assert_eq!(
         got.makespan_bits, want.makespan_bits,
-        "[{name}/{mode}] virtual makespan diverged: {} vs {}",
+        "[{name}] virtual makespan diverged: {} vs {}",
         f64::from_bits(got.makespan_bits),
         f64::from_bits(want.makespan_bits),
     );
-    assert_eq!(got.sim_events, want.sim_events, "[{name}/{mode}] event count diverged");
-    assert_eq!(got.outputs, want.outputs, "[{name}/{mode}] outputs diverged");
+    assert_eq!(got.sim_events, want.sim_events, "[{name}] event count diverged");
+    assert_eq!(got.outputs, want.outputs, "[{name}] outputs diverged");
     assert_eq!(
         got.events_jsonl, want.events_jsonl,
-        "[{name}/{mode}] events.jsonl is not byte-identical"
+        "[{name}] events.jsonl is not byte-identical"
     );
     assert_eq!(
         got.metrics_prom, want.metrics_prom,
-        "[{name}/{mode}] metrics.prom is not byte-identical"
+        "[{name}] metrics.prom is not byte-identical"
     );
     assert_eq!(
         got.decisions_jsonl, want.decisions_jsonl,
-        "[{name}/{mode}] decisions.jsonl is not byte-identical"
+        "[{name}] decisions.jsonl is not byte-identical"
     );
     assert_eq!(
         got.alerts_jsonl, want.alerts_jsonl,
-        "[{name}/{mode}] alerts.jsonl is not byte-identical"
+        "[{name}] alerts.jsonl is not byte-identical"
     );
     assert_eq!(
         got.incidents_jsonl, want.incidents_jsonl,
-        "[{name}/{mode}] incidents.jsonl is not byte-identical"
+        "[{name}] incidents.jsonl is not byte-identical"
     );
     assert_eq!(
         got.stacks_jsonl, want.stacks_jsonl,
-        "[{name}/{mode}] stacks.jsonl is not byte-identical"
+        "[{name}] stacks.jsonl is not byte-identical"
     );
     assert_eq!(
         got.profile_folded, want.profile_folded,
-        "[{name}/{mode}] profile.folded is not byte-identical"
+        "[{name}] profile.folded is not byte-identical"
     );
     assert_eq!(
         got.profile_json, want.profile_json,
-        "[{name}/{mode}] profile.json is not byte-identical"
+        "[{name}] profile.json is not byte-identical"
     );
 }
 
-/// The core differential property: every scenario, every engine, every
-/// artifact — bit-identical to the legacy heap reference.
+/// The core property: every scenario, every artifact — bit-identical
+/// across two runs.
 #[test]
-fn all_scenarios_bit_identical_across_engines() {
+fn all_scenarios_bit_identical_across_repeat_runs() {
     for (name, spec, config) in scenarios() {
-        let reference = run_under(&spec, config, EngineMode::LegacyHeap);
-        assert!(
-            reference.sim_events > 0,
-            "[{name}] reference run processed no events"
-        );
-        for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-            let got = run_under(&spec, config, mode);
-            assert_identical(name, mode, &got, &reference);
-        }
-    }
-}
-
-/// Repeat-run stability: the parallel engine run twice (fresh threads,
-/// fresh shard queues) renders identical artifacts — no hidden
-/// scheduling nondeterminism leaks through the lookahead windows.
-#[test]
-fn parallel_engine_is_stable_across_repeated_runs() {
-    let (name, spec, config) = scenarios().remove(4); // combined-faults
-    let a = run_under(&spec, config, EngineMode::Parallel);
-    let b = run_under(&spec, config, EngineMode::Parallel);
-    assert_identical(name, EngineMode::Parallel, &b, &a);
-}
-
-/// Regression for the tie-break hazard the rework fixed: events landing
-/// on the *same virtual instant* from *different nodes* (shards) fire in
-/// stable scheduling order — the `(time, seq)` key — under every engine.
-/// Before the rework, same-time events popped in heap-sift accident
-/// order, which varied with queue layout; this ordering assertion fails
-/// under any such discipline.
-#[test]
-fn same_instant_cross_node_events_fire_in_scheduling_order() {
-    use simtime::{EngineConfig, Sim, SimTime};
-    const NODES: usize = 8;
-    for mode in EngineMode::ALL {
-        let mut sim = Sim::with_config(EngineConfig {
-            mode,
-            shards: NODES,
-            lookahead: SimTime::from_micros(1.0),
-        });
-        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
-        for node in 0..NODES {
-            let order = order.clone();
-            // Spawned in ascending node order, every process wakes at the
-            // identical instant t = 1s.
-            sim.spawn_on(node, &format!("n{node}"), move |ctx| {
-                ctx.hold(SimTime::from_secs(1));
-                order.lock().unwrap().push(node);
-            });
-        }
-        sim.run().expect("tie-break scenario cannot deadlock");
-        assert_eq!(
-            *order.lock().unwrap(),
-            (0..NODES).collect::<Vec<_>>(),
-            "[{mode}] same-instant cross-node wakes must fire in (time, seq) order"
-        );
+        let first = run_scenario(&spec, config);
+        assert!(first.sim_events > 0, "[{name}] run processed no events");
+        let second = run_scenario(&spec, config);
+        assert_identical(name, &second, &first);
     }
 }
 
 /// The differential attribution artifact is a pure function of its two
 /// input bundles: diffing a clean run against a faulty one renders a
-/// byte-identical `diff.json` whichever engine produced either side,
-/// and the profiler's samples are non-vacuous on every scenario.
+/// byte-identical `diff.json` on every run.
 #[test]
-fn diff_json_byte_identical_across_engines() {
+fn diff_json_byte_identical_across_repeat_runs() {
     let scenarios = scenarios();
     let (_, clean_spec, clean_config) = &scenarios[0];
     let (_, faulty_spec, faulty_config) = &scenarios[4]; // combined-faults
-    let diff_under = |base_mode: EngineMode, cand_mode: EngineMode| {
-        let base = run_under(clean_spec, *clean_config, base_mode);
-        let cand = run_under(faulty_spec, *faulty_config, cand_mode);
+    let diff = || {
+        let base = run_scenario(clean_spec, *clean_config);
+        let cand = run_scenario(faulty_spec, *faulty_config);
         let base_ev = insight::parse_events_jsonl(&base.events_jsonl).unwrap();
         let cand_ev = insight::parse_events_jsonl(&cand.events_jsonl).unwrap();
         insight::diff_events(&base_ev, &cand_ev).to_json()
     };
-    let reference = diff_under(EngineMode::LegacyHeap, EngineMode::LegacyHeap);
-    assert!(reference.contains("\"schema\": \"prs-diff-v1\""));
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        assert_eq!(
-            diff_under(mode, mode),
-            reference,
-            "diff.json diverged when both bundles came from the {mode} engine"
-        );
-    }
-    assert_eq!(
-        diff_under(EngineMode::Calendar, EngineMode::Parallel),
-        reference,
-        "diff.json diverged across mixed-engine bundle pairs"
-    );
-    assert_eq!(
-        diff_under(EngineMode::LegacyHeap, EngineMode::LegacyHeap),
-        reference,
-        "diff.json is not repeat-stable"
-    );
+    let first = diff();
+    assert!(first.contains("\"schema\": \"prs-diff-v1\""));
+    assert_eq!(diff(), first, "diff.json is not repeat-stable");
+}
+
+/// The seed-7 grid shape the chaos-harness properties below run.
+fn grid(trials: usize) -> ChaosConfig {
+    ChaosConfig { trials, seed: 7 }
 }
 
 /// The chaos harness's rendered report is a pure function of
-/// `(trials, seed)` — the engine that executed the trials must not leak
-/// into `chaos_report.json`.
+/// `(trials, seed)`.
 #[test]
-fn chaos_report_byte_identical_across_engines() {
-    let report = |engine: EngineMode| {
-        run_chaos(&ChaosConfig {
-            trials: 6,
-            seed: 7,
-            engine,
-        })
-        .to_json()
-        .to_string()
-    };
-    let reference = report(EngineMode::LegacyHeap);
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        assert_eq!(
-            report(mode),
-            reference,
-            "chaos_report.json diverged under the {mode} engine"
-        );
-    }
+fn chaos_report_byte_identical_across_repeat_runs() {
+    let report = || run_chaos(&grid(6)).to_json().to_string();
+    let first = report();
+    assert_eq!(report(), first, "chaos_report.json is not repeat-stable");
 }
 
 /// Same contract for the scored grid: attaching the watchdog must not
 /// perturb the chaos report, and `watch_score.json` itself is a pure
-/// function of `(trials, seed)` — engine-independent and repeat-stable.
+/// function of `(trials, seed)`.
 #[test]
-fn watch_score_byte_identical_across_engines() {
+fn watch_score_byte_identical_across_repeat_runs() {
     let rules = watch::WatchConfig::default();
-    let scored = |engine: EngineMode| {
-        let (report, score) = run_chaos_scored(
-            &ChaosConfig {
-                trials: 6,
-                seed: 7,
-                engine,
-            },
-            &rules,
-        );
+    let scored = || {
+        let (report, score) = run_chaos_scored(&grid(6), &rules);
         (report.to_json().to_string(), score.to_json())
     };
-    let plain = run_chaos(&ChaosConfig {
-        trials: 6,
-        seed: 7,
-        engine: EngineMode::LegacyHeap,
-    })
-    .to_json()
-    .to_string();
-    let (ref_report, ref_score) = scored(EngineMode::LegacyHeap);
-    assert_eq!(
-        ref_report, plain,
-        "attaching the watchdog perturbed chaos_report.json"
-    );
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        let (report, score) = scored(mode);
-        assert_eq!(report, ref_report, "scored chaos report diverged under {mode}");
-        assert_eq!(score, ref_score, "watch_score.json diverged under the {mode} engine");
-    }
-    let (repeat_report, repeat_score) = scored(EngineMode::LegacyHeap);
-    assert_eq!(repeat_report, ref_report, "scored chaos report is not repeat-stable");
-    assert_eq!(repeat_score, ref_score, "watch_score.json is not repeat-stable");
+    let plain = run_chaos(&grid(6)).to_json().to_string();
+    let (first_report, first_score) = scored();
+    assert_eq!(first_report, plain, "attaching the watchdog perturbed chaos_report.json");
+    let (repeat_report, repeat_score) = scored();
+    assert_eq!(repeat_report, first_report, "scored chaos report is not repeat-stable");
+    assert_eq!(repeat_score, first_score, "watch_score.json is not repeat-stable");
 }
 
 /// Same contract once more for the flight recorder: arming it must not
 /// perturb the scored grid, and every capture JSONL and postmortem
-/// document it emits is a pure function of `(trials, seed)` — the
-/// engine that pumped the recorder must not leak into the artifacts.
+/// document it emits is a pure function of `(trials, seed)`.
 #[test]
-fn recorded_captures_and_postmortems_byte_identical_across_engines() {
+fn recorded_captures_and_postmortems_byte_identical_across_repeat_runs() {
     let rules = watch::WatchConfig::default();
-    let recorded = |engine: EngineMode| {
-        let (report, score, recordings) = prs_core::run_chaos_recorded(
-            &ChaosConfig {
-                trials: 6,
-                seed: 7,
-                engine,
-            },
-            &rules,
-            obs::RecorderConfig::enabled(),
-        );
+    let recorded = || {
+        let (report, score, recordings) =
+            prs_core::run_chaos_recorded(&grid(6), &rules, obs::RecorderConfig::enabled());
         let mut artifacts = String::new();
         for rec in &recordings {
             for c in &rec.captures {
@@ -424,49 +319,37 @@ fn recorded_captures_and_postmortems_byte_identical_across_engines() {
         }
         (report.to_json().to_string(), score.to_json(), artifacts)
     };
-    let (plain_report, plain_score) = run_chaos_scored(
-        &ChaosConfig {
-            trials: 6,
-            seed: 7,
-            engine: EngineMode::LegacyHeap,
-        },
-        &rules,
-    );
-    let (ref_report, ref_score, ref_artifacts) = recorded(EngineMode::LegacyHeap);
+    let (plain_report, plain_score) = run_chaos_scored(&grid(6), &rules);
+    let (first_report, first_score, first_artifacts) = recorded();
     assert_eq!(
-        ref_report,
+        first_report,
         plain_report.to_json().to_string(),
         "arming the recorder perturbed chaos_report.json"
     );
     assert_eq!(
-        ref_score,
+        first_score,
         plain_score.to_json(),
         "arming the recorder perturbed watch_score.json"
     );
     assert!(
-        ref_artifacts.contains("prs-capture-v1") && ref_artifacts.contains("prs-postmortem-v1"),
+        first_artifacts.contains("prs-capture-v1") && first_artifacts.contains("prs-postmortem-v1"),
         "the seed-7 grid must emit captures and postmortems"
     );
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        let (report, score, artifacts) = recorded(mode);
-        assert_eq!(report, ref_report, "recorded chaos report diverged under {mode}");
-        assert_eq!(score, ref_score, "recorded watch score diverged under {mode}");
-        assert_eq!(artifacts, ref_artifacts, "captures/postmortems diverged under {mode}");
-    }
-    let (_, _, repeat) = recorded(EngineMode::LegacyHeap);
-    assert_eq!(repeat, ref_artifacts, "recorded artifacts are not repeat-stable");
+    let (report, score, artifacts) = recorded();
+    assert_eq!(report, first_report, "recorded chaos report is not repeat-stable");
+    assert_eq!(score, first_score, "recorded watch score is not repeat-stable");
+    assert_eq!(artifacts, first_artifacts, "recorded artifacts are not repeat-stable");
 }
 
 /// Runs the elastic-membership driver through a non-empty churn plan
 /// (scale-out, graceful drain, forced evict) and collects the same
-/// artifact bundle as `run_under`, plus the membership ledger and the
+/// artifact bundle as `run_scenario`, plus the membership ledger and the
 /// cluster-size trace rendered to comparable strings.
-fn run_elastic_under(mode: EngineMode) -> (RunArtifacts, String, String) {
+fn run_elastic() -> (RunArtifacts, String, String) {
     let spec = ClusterSpec::delta(3);
     let config = JobConfig::static_analytic()
         .with_iterations(3)
-        .with_checkpoint_interval(1)
-        .with_engine(mode);
+        .with_checkpoint_interval(1);
     // Schedule the churn relative to the fixed-cluster span so every
     // event lands mid-run regardless of workload constants.
     let span = run_iterative(&spec, hist(), config)
@@ -487,7 +370,7 @@ fn run_elastic_under(mode: EngineMode) -> (RunArtifacts, String, String) {
         None,
         obs.clone(),
     )
-    .expect("churn scenario must complete under every engine");
+    .expect("churn scenario must complete");
     let roll_events: Vec<obs::rollup::RollupEvent> =
         obs.bus.events().iter().map(Into::into).collect();
     let watched = watch::watch(&roll_events, &obs.audit.records(), &watch::WatchConfig::default());
@@ -533,61 +416,39 @@ fn run_elastic_under(mode: EngineMode) -> (RunArtifacts, String, String) {
 
 /// The elastic driver under a non-empty churn plan is part of the same
 /// determinism contract: every rendered artifact, the membership ledger
-/// and the cluster-size/epoch trace are bit-identical on every engine
-/// and across repeated runs.
+/// and the cluster-size/epoch trace are bit-identical across repeated
+/// runs.
 #[test]
-fn elastic_churn_run_bit_identical_across_engines() {
-    let (reference, ref_ledger, ref_trace) = run_elastic_under(EngineMode::LegacyHeap);
+fn elastic_churn_run_bit_identical_across_repeat_runs() {
+    let (first, first_ledger, first_trace) = run_elastic();
     // The plan must actually exercise churn, or the property is vacuous.
     assert!(
-        ref_ledger.contains("joins: 1") && ref_ledger.contains("drains: 1"),
-        "seed-9 plan must admit one joiner and drain one node: {ref_ledger}"
+        first_ledger.contains("joins: 1") && first_ledger.contains("drains: 1"),
+        "seed-9 plan must admit one joiner and drain one node: {first_ledger}"
     );
     assert!(
-        ref_trace.contains("evict"),
-        "seed-9 plan must force one eviction: {ref_trace}"
+        first_trace.contains("evict"),
+        "seed-9 plan must force one eviction: {first_trace}"
     );
     assert!(
-        reference.events_jsonl.contains("\"membership\""),
+        first.events_jsonl.contains("\"membership\""),
         "elastic run must emit the membership lane"
     );
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        let (got, ledger, trace) = run_elastic_under(mode);
-        assert_identical("elastic-churn", mode, &got, &reference);
-        assert_eq!(ledger, ref_ledger, "[elastic-churn/{mode}] membership ledger diverged");
-        assert_eq!(trace, ref_trace, "[elastic-churn/{mode}] cluster-size trace diverged");
-    }
-    let (repeat, repeat_ledger, repeat_trace) = run_elastic_under(EngineMode::LegacyHeap);
-    assert_identical("elastic-churn-repeat", EngineMode::LegacyHeap, &repeat, &reference);
-    assert_eq!(repeat_ledger, ref_ledger, "membership ledger is not repeat-stable");
-    assert_eq!(repeat_trace, ref_trace, "cluster-size trace is not repeat-stable");
+    let (repeat, repeat_ledger, repeat_trace) = run_elastic();
+    assert_identical("elastic-churn", &repeat, &first);
+    assert_eq!(repeat_ledger, first_ledger, "membership ledger is not repeat-stable");
+    assert_eq!(repeat_trace, first_trace, "cluster-size trace is not repeat-stable");
 }
 
 /// Same contract for the churn chaos grid: `churn_report.json` is a pure
-/// function of `(trials, seed)` — the engine that executed the grid must
-/// not leak into the rendered report.
+/// function of `(trials, seed)`.
 #[test]
-fn churn_report_byte_identical_across_engines() {
-    let report = |engine: EngineMode| {
-        run_chaos_churn(&ChaosConfig {
-            trials: 4,
-            seed: 7,
-            engine,
-        })
-        .to_json()
-        .to_string()
-    };
-    let reference = report(EngineMode::LegacyHeap);
+fn churn_report_byte_identical_across_repeat_runs() {
+    let report = || run_chaos_churn(&grid(4)).to_json().to_string();
+    let first = report();
     assert!(
-        reference.contains("\"all_passed\":true"),
-        "the seed-7 churn grid must converge on the reference engine"
+        first.contains("\"all_passed\":true"),
+        "the seed-7 churn grid must converge"
     );
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        assert_eq!(
-            report(mode),
-            reference,
-            "churn_report.json diverged under the {mode} engine"
-        );
-    }
-    assert_eq!(report(EngineMode::LegacyHeap), reference, "churn_report.json is not repeat-stable");
+    assert_eq!(report(), first, "churn_report.json is not repeat-stable");
 }

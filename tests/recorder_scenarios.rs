@@ -3,7 +3,7 @@
 //! the properties the postmortem pipeline depends on:
 //!
 //! - the seed-7 scored grid's captures and postmortems render
-//!   byte-identically under every engine mode and across repeat runs;
+//!   byte-identically across repeat runs;
 //! - every scored incident links to exactly one capture, and every
 //!   capture belongs to exactly one incident;
 //! - recording never perturbs the run (report and score bytes match the
@@ -16,8 +16,8 @@ use obs::rollup::RollupEvent;
 use obs::{Obs, RecorderConfig};
 use prs_core::{
     ground_truth_from_plan, run_chaos_recorded, run_chaos_scored, run_iterative_observed,
-    ChaosConfig, ClusterSpec, DeviceClass, EngineMode, FaultPlan, IterativeApp, JobConfig, Key,
-    SpmdApp, TrialRecording,
+    ChaosConfig, ClusterSpec, DeviceClass, FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
+    TrialRecording,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -70,9 +70,9 @@ fn hist() -> Arc<HistApp> {
 }
 
 /// The acceptance grid: 32 scored seed-7 trials with recording armed.
-fn grid(engine: EngineMode) -> (prs_core::ChaosReport, watch::WatchScore, Vec<TrialRecording>) {
+fn grid() -> (prs_core::ChaosReport, watch::WatchScore, Vec<TrialRecording>) {
     run_chaos_recorded(
-        &ChaosConfig { trials: 32, seed: 7, engine },
+        &ChaosConfig { trials: 32, seed: 7 },
         &WatchConfig::default(),
         RecorderConfig::enabled(),
     )
@@ -96,26 +96,18 @@ fn render(recordings: &[TrialRecording]) -> String {
 }
 
 #[test]
-fn seed7_grid_recordings_byte_identical_across_engines_and_repeats() {
-    let (_, _, reference) = grid(EngineMode::LegacyHeap);
-    let reference = render(&reference);
-    assert!(!reference.is_empty(), "the scored grid must record trials");
-    for mode in [EngineMode::Calendar, EngineMode::Parallel] {
-        let (_, _, got) = grid(mode);
-        assert_eq!(
-            render(&got),
-            reference,
-            "captures/postmortems diverged under the {mode} engine"
-        );
-    }
-    // Repeat run under the sharded engine: stable across process reuse.
-    let (_, _, again) = grid(EngineMode::Parallel);
-    assert_eq!(render(&again), reference, "repeat run diverged");
+fn seed7_grid_recordings_byte_identical_across_repeat_runs() {
+    let (_, _, first) = grid();
+    let first = render(&first);
+    assert!(!first.is_empty(), "the scored grid must record trials");
+    // Repeat run in the same process: stable across process reuse.
+    let (_, _, again) = grid();
+    assert_eq!(render(&again), first, "repeat run diverged");
 }
 
 #[test]
 fn every_scored_incident_links_to_exactly_one_capture() {
-    let (_, score, recordings) = grid(EngineMode::Calendar);
+    let (_, score, recordings) = grid();
     assert!(score.trials > 0);
     let mut total_incidents = 0;
     for rec in &recordings {
@@ -152,7 +144,7 @@ fn every_scored_incident_links_to_exactly_one_capture() {
 
 #[test]
 fn recording_never_perturbs_the_grid_and_stays_under_budget() {
-    let cfg = ChaosConfig { trials: 8, seed: 7, engine: EngineMode::Calendar };
+    let cfg = ChaosConfig { trials: 8, seed: 7 };
     let rules = WatchConfig::default();
     let (plain_report, plain_score) = run_chaos_scored(&cfg, &rules);
     let (rec_report, rec_score, recordings) = grid_with(&cfg, &rules);

@@ -15,8 +15,8 @@
 use obs::rollup::RollupEvent;
 use obs::Obs;
 use prs_core::{
-    run_chaos_scored, run_iterative_observed, ChaosConfig, ClusterSpec, DeviceClass, EngineMode,
-    FaultPlan, IterativeApp, JobConfig, Key, SpmdApp,
+    run_chaos_scored, run_iterative_observed, ChaosConfig, ClusterSpec, DeviceClass, FaultPlan,
+    IterativeApp, JobConfig, Key, SpmdApp,
 };
 use roofline::model::DataResidency;
 use roofline::schedule::Workload;
@@ -111,8 +111,7 @@ fn chaos_grid_forced_crashes_are_detected_with_zero_false_positives() {
     let (_, score) = run_chaos_scored(
         &ChaosConfig {
             trials: 2,
-            seed: 7,
-            engine: EngineMode::LegacyHeap,
+            ..ChaosConfig::default()
         },
         &WatchConfig::default(),
     );
