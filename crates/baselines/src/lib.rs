@@ -89,10 +89,8 @@ fn spmd_driver<A: IterativeApp>(
     app: Arc<A>,
     iterations: usize,
     device: DeviceClass,
-    setup: impl Fn(&SimCtx, &Arc<FatNode>, Range<usize>) + Send + Sync + 'static,
-    map_local: impl Fn(&SimCtx, &Arc<FatNode>, Range<usize>, usize) -> Vec<(Key, A::Inter)>
-        + Send
-        + Sync
+    setup: impl AsyncFn(&SimCtx, &Arc<FatNode>, Range<usize>) + 'static,
+    map_local: impl AsyncFn(&SimCtx, &Arc<FatNode>, Range<usize>, usize) -> Vec<(Key, A::Inter)>
         + 'static,
 ) -> BaselineResult {
     let n = spec.len();
@@ -117,19 +115,20 @@ fn spmd_driver<A: IterativeApp>(
         let timing = timing.clone();
         let setup = setup.clone();
         let map_local = map_local.clone();
-        sim.spawn(&format!("rank{rank}"), move |ctx| {
+        sim.spawn(&format!("rank{rank}"), move |ctx| async move {
             let seq = CollectiveSeq::new();
             let coll = comm.collectives(&seq);
-            setup(ctx, &node, range.clone());
-            coll.barrier(ctx);
+            setup(&ctx, &node, range.clone()).await;
+            coll.barrier(&ctx).await;
             if rank == 0 {
                 timing.lock().0 = ctx.now().as_secs_f64();
             }
             for iter in 0..iterations {
                 let t0 = ctx.now();
-                let pairs = map_local(ctx, &node, range.clone(), iter);
+                let pairs = map_local(&ctx, &node, range.clone(), iter).await;
                 let bytes: u64 = pairs.iter().map(|(_, v)| app.inter_bytes(v)).sum();
-                let all: Vec<Vec<(Key, A::Inter)>> = coll.allgather(ctx, bytes.max(1), pairs);
+                let all: Vec<Vec<(Key, A::Inter)>> =
+                    coll.allgather(&ctx, bytes.max(1), pairs).await;
                 let merged: Vec<(Key, A::Inter)> = all.into_iter().flatten().collect();
                 let verdict = if rank == 0 {
                     let outputs = reduce_pairs(app.as_ref(), device, merged);
@@ -137,7 +136,7 @@ fn spmd_driver<A: IterativeApp>(
                 } else {
                     None
                 };
-                let converged = coll.bcast(ctx, 0, 1, verdict);
+                let converged = coll.bcast(&ctx, 0, 1, verdict).await;
                 if rank == 0 {
                     timing.lock().1.push((ctx.now() - t0).as_secs_f64());
                 }
@@ -176,22 +175,24 @@ pub fn run_mpi_gpu<A: IterativeApp>(
         app,
         iterations,
         DeviceClass::Gpu,
-        move |ctx, node, range| {
+        async move |ctx, node, range| {
             let gpu = node.gpu().expect("checked");
             let bytes = range.len() as u64 * setup_app.item_bytes();
-            let _context = gpu.create_context(ctx);
+            let _context = gpu.create_context(ctx).await;
             if bytes > 0 {
                 gpu.memory.alloc(bytes).expect("fits in GPU memory");
-                gpu.transfer_h2d(ctx, bytes);
+                gpu.transfer_h2d(ctx, bytes).await;
             }
         },
-        move |ctx, node, range, _| {
+        async move |ctx, node, range, _| {
             let gpu = node.gpu().expect("checked");
             let work = map_app.map_work(range.len());
-            let pairs = gpu.launch(ctx, &work, || map_app.gpu_map(node.rank, range.clone()));
+            let pairs = gpu
+                .launch(ctx, &work, || map_app.gpu_map(node.rank, range.clone()))
+                .await;
             let pairs = combine_local(map_app.as_ref(), pairs);
             let bytes: u64 = pairs.iter().map(|(_, v)| map_app.inter_bytes(v)).sum();
-            gpu.transfer_d2h(ctx, bytes);
+            gpu.transfer_d2h(ctx, bytes).await;
             pairs
         },
     )
@@ -209,8 +210,8 @@ pub fn run_mpi_cpu<A: IterativeApp>(
         app,
         iterations,
         DeviceClass::Cpu,
-        |_, _, _| {},
-        move |ctx, node, range, _| {
+        async |_, _, _| {},
+        async move |ctx, node, range, _| {
             // One block per core, run as child processes so cores fill in
             // parallel; results merged in block order (deterministic).
             type BlockResults<I> = Arc<Mutex<Vec<Option<Vec<(Key, I)>>>>>;
@@ -223,15 +224,16 @@ pub fn run_mpi_cpu<A: IterativeApp>(
                 let node = node.clone();
                 let app = map_app.clone();
                 let results = results.clone();
-                handles.push(ctx.spawn(&format!("blk{i}"), move |cctx| {
+                handles.push(ctx.spawn(&format!("blk{i}"), move |cctx| async move {
                     let work = app.map_work(block.len());
                     let pairs = node
                         .cpu
-                        .run_task(cctx, &work, || app.cpu_map(node.rank, block.clone()));
+                        .run_task(&cctx, &work, || app.cpu_map(node.rank, block.clone()))
+                        .await;
                     results.lock()[i] = Some(pairs);
                 }));
             }
-            ctx.join_all(&handles);
+            ctx.join_all(&handles).await;
             let collected: Vec<(Key, A::Inter)> = results
                 .lock()
                 .iter_mut()
@@ -312,30 +314,31 @@ pub fn run_mahout_like<A: IterativeApp>(
         app,
         iterations,
         DeviceClass::Cpu,
-        |_, _, _| {},
-        move |ctx, node, range, _| {
+        async |_, _, _| {},
+        async move |ctx, node, range, _| {
             // Job startup hits every iteration (no iterative caching in
             // classic Hadoop).
-            ctx.hold(params.job_startup);
+            ctx.hold(params.job_startup).await;
             let blocks = split_even(range, params.tasks_per_node);
             let mut pairs: Vec<(Key, A::Inter)> = Vec::new();
             for block in blocks {
-                ctx.hold(params.task_overhead);
+                ctx.hold(params.task_overhead).await;
                 // HDFS read of the block.
                 let bytes = block.len() as f64 * map_app.item_bytes() as f64;
-                ctx.hold(SimTime::from_secs_f64(bytes / params.disk_bw));
+                ctx.hold(SimTime::from_secs_f64(bytes / params.disk_bw))
+                    .await;
                 let work = map_app.map_work(block.len());
                 let out = node
                     .cpu
-                    .run_task(ctx, &work, || map_app.cpu_map(node.rank, block.clone()));
+                    .run_task(ctx, &work, || map_app.cpu_map(node.rank, block.clone()))
+                    .await;
                 pairs.extend(out);
             }
             let pairs = combine_local(map_app.as_ref(), pairs);
             // Spill intermediates to disk (write + later read).
             let inter: u64 = pairs.iter().map(|(_, v)| map_app.inter_bytes(v)).sum();
-            ctx.hold(SimTime::from_secs_f64(
-                2.0 * inter as f64 / params.disk_bw,
-            ));
+            ctx.hold(SimTime::from_secs_f64(2.0 * inter as f64 / params.disk_bw))
+                .await;
             pairs
         },
     )

@@ -10,11 +10,11 @@ fn run_allreduce(nodes: usize) -> simtime::SimTime {
     let net = Network::new("n", nodes, NetworkParams::infiniband_qdr());
     for rank in 0..nodes {
         let comm = net.communicator(rank);
-        sim.spawn(&format!("r{rank}"), move |ctx| {
+        sim.spawn(&format!("r{rank}"), move |ctx| async move {
             let seq = CollectiveSeq::new();
             let coll = comm.collectives(&seq);
             for _ in 0..10 {
-                coll.allreduce(ctx, 4096, rank as u64, |a, b| a + b);
+                coll.allreduce(&ctx, 4096, rank as u64, |a, b| a + b).await;
             }
         });
     }
@@ -26,7 +26,7 @@ fn run_shuffle(nodes: usize, items_per_node: usize) -> simtime::SimTime {
     let net = Network::new("n", nodes, NetworkParams::infiniband_qdr());
     for rank in 0..nodes {
         let comm = net.communicator(rank);
-        sim.spawn(&format!("r{rank}"), move |ctx| {
+        sim.spawn(&format!("r{rank}"), move |ctx| async move {
             let seq = CollectiveSeq::new();
             let items: Vec<ShuffleItem<u64>> = (0..items_per_node)
                 .map(|i| ShuffleItem {
@@ -35,7 +35,7 @@ fn run_shuffle(nodes: usize, items_per_node: usize) -> simtime::SimTime {
                     value: i as u64,
                 })
                 .collect();
-            let _ = shuffle(&comm, &seq, ctx, items);
+            let _ = shuffle(&comm, &seq, &ctx, items).await;
         });
     }
     sim.run().unwrap().end_time

@@ -10,9 +10,9 @@ fn bench_event_throughput(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(events), &events, |b, &events| {
             b.iter(|| {
                 let mut sim = Sim::new();
-                sim.spawn("ticker", move |ctx| {
+                sim.spawn("ticker", move |ctx| async move {
                     for _ in 0..events {
-                        ctx.hold(SimTime::from_micros(1.0));
+                        ctx.hold(SimTime::from_micros(1.0)).await;
                     }
                 });
                 sim.run().unwrap()
@@ -26,15 +26,15 @@ fn bench_process_handoff(c: &mut Criterion) {
     c.bench_function("engine/spawn_join_100_processes", |b| {
         b.iter(|| {
             let mut sim = Sim::new();
-            sim.spawn("parent", |ctx| {
+            sim.spawn("parent", |ctx| async move {
                 let children: Vec<_> = (0..100)
                     .map(|i| {
-                        ctx.spawn(&format!("c{i}"), |cctx| {
-                            cctx.hold(SimTime::from_micros(1.0));
+                        ctx.spawn(&format!("c{i}"), |cctx| async move {
+                            cctx.hold(SimTime::from_micros(1.0)).await;
                         })
                     })
                     .collect();
-                ctx.join_all(&children);
+                ctx.join_all(&children).await;
             });
             sim.run().unwrap()
         });
@@ -50,10 +50,10 @@ fn bench_resource_contention(c: &mut Criterion) {
                 let res = Resource::new("r", 2);
                 for i in 0..procs {
                     let res = res.clone();
-                    sim.spawn(&format!("p{i}"), move |ctx| {
+                    sim.spawn(&format!("p{i}"), move |ctx| async move {
                         for _ in 0..50 {
-                            res.with(ctx, 1, || ());
-                            ctx.hold(SimTime::from_micros(1.0));
+                            res.with(&ctx, 1, || ()).await;
+                            ctx.hold(SimTime::from_micros(1.0)).await;
                         }
                     });
                 }

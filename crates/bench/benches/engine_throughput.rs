@@ -1,16 +1,15 @@
 //! Engine event-throughput micro-benchmarks — the offline companion of
-//! the `events_per_sec` / `speedup_vs_legacy` columns `prs bench --all`
+//! the `events_per_sec` / `speedup_vs_task_hold` columns `prs bench --all`
 //! records into BENCH_prs.json (and `--check` gates).
 //!
 //! Two shapes:
 //! * the synthetic timer stress ([`simtime::stress::run_stress`]) at a
-//!   cluster-scale population — the pure queue-cost path (engine-thread
-//!   timers, no process handoff);
-//! * the seed engine's hold() baseline ([`run_hold_baseline`]) — every
-//!   event pays two OS context switches.
+//!   cluster-scale population — the pure queue-cost path (event-loop
+//!   timers, no process task);
+//! * process holds ([`run_task_holds`]) — every event polls a task.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use simtime::stress::{run_hold_baseline, run_stress, StressSpec};
+use simtime::stress::{run_stress, run_task_holds, StressSpec};
 
 fn bench_synthetic(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_throughput/synthetic");
@@ -29,13 +28,13 @@ fn bench_synthetic(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_hold_baseline(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_throughput/hold_baseline");
+fn bench_task_holds(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine_throughput/task_holds");
     g.bench_function("200x40", |b| {
-        b.iter(|| run_hold_baseline(200, 40));
+        b.iter(|| run_task_holds(200, 40));
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_synthetic, bench_hold_baseline);
+criterion_group!(benches, bench_synthetic, bench_task_holds);
 criterion_main!(benches);

@@ -11,21 +11,21 @@ use simtime::{Sim, SimTime};
 fn virtual_alloc_time(allocs: usize, use_region: bool) -> SimTime {
     let overheads = OverheadModel::default();
     let mut sim = Sim::new();
-    sim.spawn("allocator", move |ctx| {
+    sim.spawn("allocator", move |ctx| async move {
         let space = MemorySpace::new("gpu", 1 << 30);
         if use_region {
             let mut region = Region::new(space, 1 << 20);
             for _ in 0..allocs {
                 let (_, grew) = region.alloc(64).unwrap();
                 if grew {
-                    ctx.hold(overheads.device_malloc);
+                    ctx.hold(overheads.device_malloc).await;
                 }
             }
         } else {
             let mut live = Vec::with_capacity(allocs);
             for _ in 0..allocs {
                 live.push(space.alloc(64).unwrap());
-                ctx.hold(overheads.device_malloc);
+                ctx.hold(overheads.device_malloc).await;
             }
             for id in live {
                 space.free(id);

@@ -44,20 +44,20 @@ fn run_streams(profile: &DeviceProfile, streams: usize, blocks: usize, block_byt
     for s in 0..streams {
         let gpu = gpu.clone();
         let q = queue.clone();
-        sim.spawn(&format!("stream{s}"), move |ctx| {
-            let cctx = gpu.create_context(ctx);
+        sim.spawn(&format!("stream{s}"), move |ctx| async move {
+            let cctx = gpu.create_context(&ctx).await;
             let stream = cctx.stream();
-            while let Some(_b) = q.recv(ctx) {
-                stream.run_block(ctx, block_bytes, &work, 0, || ());
+            while let Some(_b) = q.recv(&ctx).await {
+                stream.run_block(&ctx, block_bytes, &work, 0, || ()).await;
             }
         });
     }
     let q = queue.clone();
-    sim.spawn("feeder", move |ctx| {
+    sim.spawn("feeder", move |ctx| async move {
         for b in 0..blocks {
-            q.send(ctx, b as u64);
+            q.send(&ctx, b as u64);
         }
-        q.close(ctx);
+        q.close(&ctx);
     });
     sim.run().expect("stream sim").end_time.as_secs_f64()
 }
@@ -146,11 +146,13 @@ fn main() {
         let mut sim = Sim::new();
         for s in 0..2 {
             let gpu = gpu.clone();
-            sim.spawn(&format!("stream{s}"), move |ctx| {
-                let cctx = gpu.create_context(ctx);
+            sim.spawn(&format!("stream{s}"), move |ctx| async move {
+                let cctx = gpu.create_context(&ctx).await;
                 let stream = cctx.stream();
                 for _ in 0..4 {
-                    stream.run_block(ctx, block_bytes, &work, block_bytes, || ());
+                    stream
+                        .run_block(&ctx, block_bytes, &work, block_bytes, || ())
+                        .await;
                 }
             });
         }

@@ -272,6 +272,9 @@ pub fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     if opts.dims == 0 {
         return Err("--dims must be at least 1".to_string());
     }
+    if opts.points == 0 {
+        return Err("--points must be at least 1".to_string());
+    }
     let clustering = matches!(
         opts.app,
         AppKind::Cmeans | AppKind::Kmeans | AppKind::Gmm | AppKind::Da

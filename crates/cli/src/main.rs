@@ -1272,6 +1272,13 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
             .with_streams(1),
         ..Default::default()
     };
+    // Ten times the cluster at the same points per node: ~40k simulation
+    // processes, affordable because each one is a task, not an OS thread.
+    let cmeans_10000 = RunOptions {
+        nodes: 10_000,
+        points: 200_000,
+        ..cmeans_1000.clone()
+    };
     vec![
         ("cmeans_static_2node", cmeans_static),
         ("cmeans_dynamic_4node", cmeans_dynamic),
@@ -1281,20 +1288,29 @@ fn bench_suite() -> Vec<(&'static str, RunOptions)> {
         ("cmeans_2node_ckpt", cmeans_ckpt),
         ("cmeans_2node_elastic", cmeans_elastic),
         ("cmeans_1000node", cmeans_1000),
+        ("cmeans_10000node", cmeans_10000),
     ]
 }
 
-/// Floor on `speedup_vs_legacy`. The baseline side once ran its holds
-/// through a binary heap and now runs them through the calendar queue,
-/// which measured 1.057x slower on that path (median of 20 alternating
-/// best-of-3 pairs on a 2-core x86-64 container); the original 10x floor
-/// is raised by that ratio so the gate is no looser than before.
-const SPEEDUP_FLOOR: f64 = 10.6;
+/// Floor on `speedup_vs_task_hold`, the synthetic's events/sec over
+/// task-hold events/sec. The ratio is below 1: the synthetic keeps a
+/// million timers resident (cache-bound), task holds keep 2000. Derived
+/// from 12 alternating best-of-3 measurements on a 2-core x86-64
+/// container (median 0.174, minimum 0.141): the minimum over 1.1,
+/// rounded down. That is 0.69 of the median, where the floor it replaces
+/// (10.6 over the thread-handoff path) was 0.64 of its median.
+const SPEEDUP_FLOOR: f64 = 0.12;
 
-/// One `prs bench` result row. `events_per_sec` and `speedup_vs_legacy`
+/// Shape of the task-hold run behind `speedup_vs_task_hold` and the
+/// machine-speed calibration: ~2M events, a few tenths of a second at a
+/// few hundred nanoseconds per event, so one run is long enough to time.
+const TASK_HOLD_PROCS: usize = 2000;
+const TASK_HOLD_ROUNDS: usize = 1000;
+
+/// One `prs bench` result row. `events_per_sec` and `speedup_vs_task_hold`
 /// are only present on the engine-throughput entries; virtual quantities
 /// are bit-reproducible, wall-derived ones are gated loosely.
-/// `legacy_eps` records the same-run process-hold throughput — the
+/// `task_hold_eps` records the same-run process-hold throughput — the
 /// machine-speed calibration the `--check` envelope divides out, so the
 /// events/sec gate measures the engine, not the host it ran on.
 struct BenchRow {
@@ -1303,8 +1319,8 @@ struct BenchRow {
     iters: usize,
     virtual_makespan: f64,
     events_per_sec: Option<f64>,
-    speedup_vs_legacy: Option<f64>,
-    legacy_eps: Option<f64>,
+    speedup_vs_task_hold: Option<f64>,
+    task_hold_eps: Option<f64>,
     /// Virtual seconds per phase (`setup` + the four stage sums from
     /// [`prs_core::JobMetrics`]); absent on the synthetic engine row.
     /// `--check` uses the committed values to name the regressing phase.
@@ -1325,13 +1341,13 @@ fn phase_breakdown(m: &prs_core::JobMetrics) -> std::collections::BTreeMap<&'sta
 }
 
 /// The synthetic engine-throughput entry: the 1000-node / 2M-event timer
-/// stress, with the speedup ratio against the seed engine's only timer
-/// mechanism (process `hold()` — two context switches per event).
+/// stress, with the speedup ratio of timers over process tasks that
+/// `hold()` (one task poll per event).
 /// Both sides take the best of three runs: co-tenant load only ever
 /// slows a run down, so peak throughput is the noise-robust statistic
 /// for a wall-clock gate.
 fn engine_synthetic_row() -> BenchRow {
-    use simtime::stress::{run_hold_baseline, run_stress, StressSpec};
+    use simtime::stress::{run_stress, run_task_holds, StressSpec};
     const REPS: usize = 3;
     let spec = StressSpec::thousand_node();
     let mut events_per_sec = 0.0f64;
@@ -1346,13 +1362,11 @@ fn engine_synthetic_row() -> BenchRow {
         end_time = end;
     }
 
-    // Small baseline run: ~20k events is enough for a stable per-event
-    // cost when every event costs tens of microseconds.
-    let mut base_eps = 0.0f64;
+    let mut hold_eps = 0.0f64;
     for _ in 0..REPS {
         let t1 = std::time::Instant::now();
-        let base_events = run_hold_baseline(500, 40);
-        base_eps = base_eps.max(base_events as f64 / t1.elapsed().as_secs_f64().max(1e-9));
+        let hold_events = run_task_holds(TASK_HOLD_PROCS, TASK_HOLD_ROUNDS);
+        hold_eps = hold_eps.max(hold_events as f64 / t1.elapsed().as_secs_f64().max(1e-9));
     }
 
     BenchRow {
@@ -1361,8 +1375,8 @@ fn engine_synthetic_row() -> BenchRow {
         iters: REPS,
         virtual_makespan: end_time.as_secs_f64(),
         events_per_sec: Some(events_per_sec),
-        speedup_vs_legacy: Some(events_per_sec / base_eps.max(1e-9)),
-        legacy_eps: Some(base_eps),
+        speedup_vs_task_hold: Some(events_per_sec / hold_eps.max(1e-9)),
+        task_hold_eps: Some(hold_eps),
         phases: None,
     }
 }
@@ -1413,10 +1427,15 @@ fn cmd_bench(args: &[String]) -> i32 {
             profile,
             netsim::NetworkParams::infiniband_qdr(),
         );
-        // The 1000-node scenario spawns thousands of OS threads per run;
-        // three iterations bound the suite's wall time while still giving
-        // the throughput gate a best-of-N to shrug off co-tenant noise.
-        let iters = if opts.nodes >= 100 { 3 } else { ITERS };
+        // Cluster-scale scenarios take seconds per run: three iterations
+        // (one at 10k nodes) bound the suite's wall time while still
+        // giving the throughput gate a best-of-N to shrug off co-tenant
+        // noise.
+        let iters = match opts.nodes {
+            10_000.. => 1,
+            100.. => 3,
+            _ => ITERS,
+        };
         let mut wall_ns: Vec<u128> = Vec::with_capacity(iters);
         let mut makespan = 0.0f64;
         let mut sim_events = 0u64;
@@ -1471,19 +1490,19 @@ fn cmd_bench(args: &[String]) -> i32 {
             iters,
             virtual_makespan: makespan,
             events_per_sec,
-            speedup_vs_legacy: None,
-            legacy_eps: None,
+            speedup_vs_task_hold: None,
+            task_hold_eps: None,
             phases: Some(phases),
         });
     }
     let row = engine_synthetic_row();
     say!(
-        "{:<24} median {:>10.3} ms wall, {:.6} s virtual, {:.0} ev/s ({:.1}x vs legacy hold path)",
+        "{:<24} median {:>10.3} ms wall, {:.6} s virtual, {:.0} ev/s ({:.2}x vs task holds)",
         row.name,
         row.median_ns as f64 / 1e6,
         row.virtual_makespan,
         row.events_per_sec.unwrap_or(0.0),
-        row.speedup_vs_legacy.unwrap_or(0.0)
+        row.speedup_vs_task_hold.unwrap_or(0.0)
     );
     entries.push(row);
     if check {
@@ -1499,19 +1518,19 @@ fn cmd_bench(args: &[String]) -> i32 {
                 // suspect without a rerun.
                 let mut diff_entries: Vec<serde_json::Value> = Vec::new();
                 // Machine-speed calibration for the wall-derived gates:
-                // the legacy hold path is measured fresh in this process,
-                // so the ratio of committed-to-measured legacy throughput
+                // task-hold throughput is measured fresh in this process,
+                // so the ratio of committed-to-measured task-hold throughput
                 // says how much faster/slower this host is than the one
                 // that wrote the baseline. Envelopes scale by it; on the
                 // baseline host itself the scale is ~1 and the check is
                 // the plain 10% envelope.
                 let machine_scale = entries
                     .iter()
-                    .find_map(|r| r.legacy_eps)
+                    .find_map(|r| r.task_hold_eps)
                     .and_then(|measured| {
                         let committed = doc["entries"].as_array().and_then(|a| {
                             a.iter()
-                                .find_map(|e| e["legacy_hold_events_per_sec"].as_f64())
+                                .find_map(|e| e["task_hold_events_per_sec"].as_f64())
                         })?;
                         Some(measured / committed.max(1e-9))
                     })
@@ -1588,20 +1607,20 @@ fn cmd_bench(args: &[String]) -> i32 {
                         }
                     }
                     // Engine-throughput gates: the synthetic must hold the
-                    // SPEEDUP_FLOOR speedup over the hold path, and entries
+                    // SPEEDUP_FLOOR speedup over task holds, and entries
                     // with a recorded events/sec must stay within 10% of
                     // their committed baseline (regressions only — faster
                     // is always fine).
-                    if let Some(speedup) = row.speedup_vs_legacy {
+                    if let Some(speedup) = row.speedup_vs_task_hold {
                         if speedup < SPEEDUP_FLOOR {
                             eprintln!(
-                                "REGRESSION {name}: engine speedup {speedup:.1}x vs legacy \
-                                 hold path is below the {SPEEDUP_FLOOR}x floor"
+                                "REGRESSION {name}: timer speedup {speedup:.2}x vs task \
+                                 holds is below the {SPEEDUP_FLOOR}x floor"
                             );
                             regressed = true;
                         } else {
                             say!(
-                                "check {name:<24} {speedup:.1}x vs legacy: ok (>= {SPEEDUP_FLOOR}x)"
+                                "check {name:<24} {speedup:.2}x vs task holds: ok (>= {SPEEDUP_FLOOR}x)"
                             );
                         }
                     }
@@ -1664,11 +1683,11 @@ fn cmd_bench(args: &[String]) -> i32 {
                 if let Some(eps) = row.events_per_sec {
                     map.insert("events_per_sec".into(), serde_json::json!(eps));
                 }
-                if let Some(s) = row.speedup_vs_legacy {
-                    map.insert("speedup_vs_legacy".into(), serde_json::json!(s));
+                if let Some(s) = row.speedup_vs_task_hold {
+                    map.insert("speedup_vs_task_hold".into(), serde_json::json!(s));
                 }
-                if let Some(l) = row.legacy_eps {
-                    map.insert("legacy_hold_events_per_sec".into(), serde_json::json!(l));
+                if let Some(l) = row.task_hold_eps {
+                    map.insert("task_hold_events_per_sec".into(), serde_json::json!(l));
                 }
                 if let Some(phases) = &row.phases {
                     let obj: std::collections::BTreeMap<String, serde_json::Value> = phases

@@ -106,8 +106,13 @@ fn usage_errors_exit_two() {
         vec!["run", "--autoscale", "--app", "kmeans"],
         vec!["run", "--membership", "/nonexistent/plan.toml"], // unreadable plan file
         // Degenerate shapes: clustering needs 1 <= clusters < points, and
-        // every app needs at least one dimension.
+        // every app needs at least one point and one dimension.
         vec!["run", "--app", "cmeans", "--points", "0"],
+        vec!["run", "--app", "fft", "--points", "0"],
+        vec!["run", "--app", "gemv", "--points", "0"],
+        vec!["run", "--app", "spmv", "--points", "0"],
+        vec!["run", "--app", "dgemm", "--points", "0"],
+        vec!["run", "--app", "wordcount", "--points", "0"],
         vec!["run", "--app", "cmeans", "--points", "3", "--nodes", "8"],
         vec!["run", "--app", "kmeans", "--points", "1"],
         vec!["run", "--app", "gmm", "--points", "2"],

@@ -595,7 +595,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
         let dispatch = spec.overheads.task_dispatch;
         let recovery = recovery.clone();
         let obs = obs.clone();
-        sim.spawn("master", move |ctx| {
+        sim.spawn("master", move |ctx| async move {
             let plan = partition_plan(&profiles, &app.workload(), app.num_items(), &config);
             let n = ctrl.len();
             let timeout = config.partition_timeout_secs.map(SimTime::from_secs_f64);
@@ -608,9 +608,9 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                 loop {
                     let id = next_id;
                     next_id += 1;
-                    ctx.hold(dispatch);
+                    ctx.hold(dispatch).await;
                     ctrl[target].send_delayed(
-                        ctx,
+                        &ctx,
                         CtrlMsg::Partition {
                             id,
                             range: part.clone(),
@@ -640,7 +640,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                     let wait_forever = timeout.is_none() || hops >= 2 * n;
                     let acked = if wait_forever {
                         loop {
-                            match acks.recv(ctx) {
+                            match acks.recv(&ctx).await {
                                 Some((_, aid)) if aid == id => break true,
                                 Some(_) => continue, // stale ack of an abandoned attempt
                                 None => break false,
@@ -649,7 +649,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                     } else {
                         let deadline = ctx.now() + timeout.expect("timeout set");
                         loop {
-                            match acks.recv_deadline(ctx, deadline) {
+                            match acks.recv_deadline(&ctx, deadline).await {
                                 RecvOutcome::Msg((_, aid)) if aid == id => break true,
                                 RecvOutcome::Msg(_) => continue,
                                 RecvOutcome::TimedOut | RecvOutcome::Closed => break false,
@@ -699,7 +699,7 @@ pub(crate) fn run_with_update<A: SpmdApp>(
             }
             for (rank, ch) in ctrl.iter().enumerate() {
                 ch.send_delayed(
-                    ctx,
+                    &ctx,
                     CtrlMsg::Done {
                         confirmed: std::mem::take(&mut confirmed[rank]),
                     },
@@ -739,14 +739,15 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                 let q = cpu_q.clone();
                 let results = results.clone();
                 let board = board.clone();
-                sim.spawn(&format!("n{rank}-cpu{core}"), move |ctx| {
-                    cpu_poller(ctx, &node, app.as_ref(), &q, &results, &board);
+                sim.spawn(&format!("n{rank}-cpu{core}"), move |ctx| async move {
+                    cpu_poller(&ctx, &node, app.as_ref(), &q, &results, &board).await;
                 });
             }
         }
 
         // GPU stream workers: one daemon (with `gpu_streams` streams) per
-        // engaged GPU — "one daemon thread for each GPU card".
+        // engaged GPU — the paper's "one daemon thread for each GPU card",
+        // as one simulation task per stream.
         if !matches!(config.scheduling, SchedulingMode::CpuOnly) {
             for g in 0..config.gpus_per_node {
                 let gpu = node.gpus[g].clone();
@@ -758,11 +759,12 @@ pub(crate) fn run_with_update<A: SpmdApp>(
                     let results = results.clone();
                     let ready = ready.clone();
                     let board = board.clone();
-                    sim.spawn(&format!("n{rank}-gpu{g}-s{stream}"), move |ctx| {
+                    sim.spawn(&format!("n{rank}-gpu{g}-s{stream}"), move |ctx| async move {
                         gpu_stream_worker(
-                            ctx, &node, &gpu, g, app.as_ref(), &q, &results, &ready, config,
+                            &ctx, &node, &gpu, g, app.as_ref(), &q, &results, &ready, config,
                             staged, &board,
-                        );
+                        )
+                        .await;
                     });
                 }
             }
@@ -779,11 +781,12 @@ pub(crate) fn run_with_update<A: SpmdApp>(
         let recovery = recovery.clone();
         let obs = obs.clone();
         let hooks = hooks.clone();
-        sim.spawn(&format!("n{rank}-worker"), move |ctx| {
+        sim.spawn(&format!("n{rank}-worker"), move |ctx| async move {
             worker_body(
-                ctx, rank, &node, comm, ctrl_ch, acks_ch, stalls, cpu_q, gpu_q, results, ready,
+                &ctx, rank, &node, comm, ctrl_ch, acks_ch, stalls, cpu_q, gpu_q, results, ready,
                 app, config, update, collect, recovery, obs, board, hooks,
-            );
+            )
+            .await;
         });
     }
 
@@ -942,7 +945,7 @@ fn fill_registry(obs: &Obs, nodes: &[Arc<FatNode>], metrics: &JobMetrics) {
     m.counter_add("prs_map_tasks_total", &[("device", "gpu")], metrics.gpu_map_tasks as f64);
 }
 
-fn cpu_poller<A: SpmdApp>(
+async fn cpu_poller<A: SpmdApp>(
     ctx: &SimCtx,
     node: &Arc<FatNode>,
     app: &A,
@@ -950,7 +953,7 @@ fn cpu_poller<A: SpmdApp>(
     results: &Channel<TaskResult<A::Inter, A::Output>>,
     board: &CompletionBoard,
 ) {
-    while let Some(task) = q.recv(ctx) {
+    while let Some(task) = q.recv(ctx).await {
         match task {
             Task::Map {
                 id,
@@ -967,7 +970,8 @@ fn cpu_poller<A: SpmdApp>(
                 let work = app.map_work(range.len());
                 let pairs = node
                     .cpu
-                    .run_task(ctx, &work, || app.cpu_map(node.rank, range.clone()));
+                    .run_task(ctx, &work, || app.cpu_map(node.rank, range.clone()))
+                    .await;
                 results.send(
                     ctx,
                     TaskResult::Map {
@@ -982,7 +986,8 @@ fn cpu_poller<A: SpmdApp>(
                 let work = app.reduce_work(values.len());
                 let output = node
                     .cpu
-                    .run_task(ctx, &work, || app.reduce(DeviceClass::Cpu, key, values));
+                    .run_task(ctx, &work, || app.reduce(DeviceClass::Cpu, key, values))
+                    .await;
                 results.send(ctx, TaskResult::Reduce { key, output });
             }
         }
@@ -990,7 +995,7 @@ fn cpu_poller<A: SpmdApp>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn gpu_stream_worker<A: SpmdApp>(
+async fn gpu_stream_worker<A: SpmdApp>(
     ctx: &SimCtx,
     node: &Arc<FatNode>,
     gpu: &Arc<device::Gpu>,
@@ -1009,10 +1014,10 @@ fn gpu_stream_worker<A: SpmdApp>(
     let _daemon_context = if config.context_per_task {
         None
     } else {
-        Some(gpu.create_context(ctx))
+        Some(gpu.create_context(ctx).await)
     };
     ready.send(ctx, ());
-    while let Some(task) = q.recv(ctx) {
+    while let Some(task) = q.recv(ctx).await {
         // Graceful degradation: a daemon whose device has died hands the
         // task straight back to the sub-task scheduler and exits.
         if gpu.is_crashed(ctx.now()) {
@@ -1027,7 +1032,7 @@ fn gpu_stream_worker<A: SpmdApp>(
             return;
         }
         if config.context_per_task {
-            let _per_task = gpu.create_context(ctx);
+            let _per_task = gpu.create_context(ctx).await;
         }
         match task {
             Task::Map {
@@ -1040,10 +1045,14 @@ fn gpu_stream_worker<A: SpmdApp>(
                     continue;
                 }
                 if staged {
-                    gpu.transfer_h2d(ctx, range.len() as u64 * app.item_bytes());
+                    gpu.transfer_h2d(ctx, range.len() as u64 * app.item_bytes())
+                        .await;
                 }
                 let work = app.map_work(range.len());
-                match gpu.try_launch(ctx, &work, || app.gpu_map(node.rank, range.clone())) {
+                match gpu
+                    .try_launch(ctx, &work, || app.gpu_map(node.rank, range.clone()))
+                    .await
+                {
                     Ok(pairs) => results.send(
                         ctx,
                         TaskResult::Map {
@@ -1075,7 +1084,10 @@ fn gpu_stream_worker<A: SpmdApp>(
                 // Keep a copy so an interrupted reduce can be re-queued
                 // intact on a surviving device.
                 let backup = values.clone();
-                match gpu.try_launch(ctx, &work, || app.reduce(DeviceClass::Gpu, key, values)) {
+                match gpu
+                    .try_launch(ctx, &work, || app.reduce(DeviceClass::Gpu, key, values))
+                    .await
+                {
                     Ok(output) => results.send(ctx, TaskResult::Reduce { key, output }),
                     Err(dead) => {
                         results.send(
@@ -1106,7 +1118,7 @@ fn gpu_stream_worker<A: SpmdApp>(
 /// survive, the simulation deadlocks and `run_job` reports
 /// [`JobError::Sim`] — there is no device left that could make progress.
 #[allow(clippy::too_many_arguments)]
-fn gpu_down<A: SpmdApp>(
+async fn gpu_down<A: SpmdApp>(
     ctx: &SimCtx,
     gpu: usize,
     task: Option<Task<A::Inter>>,
@@ -1159,7 +1171,7 @@ fn gpu_down<A: SpmdApp>(
     let shared = matches!(config.scheduling, SchedulingMode::Dynamic { .. });
     if !shared && !gpu_only && alive.iter().all(|&s| s == 0) {
         // recv_deadline at `now` is a non-blocking drain of the backlog.
-        while let RecvOutcome::Msg(t) = gpu_q.recv_deadline(ctx, ctx.now()) {
+        while let RecvOutcome::Msg(t) = gpu_q.recv_deadline(ctx, ctx.now()).await {
             record_recovery(
                 ctx.now(),
                 recovery,
@@ -1320,7 +1332,7 @@ fn combine_pairs<A: SpmdApp>(app: &A, pairs: Vec<(Key, A::Inter)>) -> Vec<(Key, 
 }
 
 #[allow(clippy::too_many_arguments)]
-fn worker_body<A: SpmdApp>(
+async fn worker_body<A: SpmdApp>(
     ctx: &SimCtx,
     rank: usize,
     node: &Arc<FatNode>,
@@ -1363,7 +1375,7 @@ fn worker_body<A: SpmdApp>(
     // was confirmed).
     let mut root_part = u64::MAX;
     let partitions: Vec<Range<usize>> = loop {
-        match ctrl.recv(ctx) {
+        match ctrl.recv(ctx).await {
             Some(CtrlMsg::Partition { id, range }) => {
                 // The master's control-plane flow lands here; pair its
                 // `msg-send` at the instant the assignment is matched.
@@ -1383,7 +1395,7 @@ fn worker_body<A: SpmdApp>(
                     .map(|s| s.ack_delay_secs)
                     .sum();
                 if delay > 0.0 {
-                    ctx.hold(SimTime::from_secs_f64(delay));
+                    ctx.hold(SimTime::from_secs_f64(delay)).await;
                 }
                 acks.send_delayed(ctx, (rank, id), latency);
                 assigned.insert(id, range);
@@ -1438,7 +1450,7 @@ fn worker_body<A: SpmdApp>(
     // one-off context cost stays out of the timed iterations.
     if uses_gpu {
         for _ in 0..config.gpus_per_node * config.gpu_streams {
-            ready.recv(ctx).expect("gpu daemon readiness");
+            ready.recv(ctx).await.expect("gpu daemon readiness");
         }
     }
     if uses_gpu && resident && config.cache_resident_data && my_bytes > 0 {
@@ -1447,17 +1459,17 @@ fn worker_body<A: SpmdApp>(
         let handles: Vec<_> = (0..config.gpus_per_node)
             .map(|g| {
                 let gpu = node.gpus[g].clone();
-                ctx.spawn(&format!("stage-gpu{g}"), move |cctx| {
+                ctx.spawn(&format!("stage-gpu{g}"), move |cctx| async move {
                     gpu.memory
                         .alloc(my_bytes)
                         .expect("resident working set must fit in GPU memory");
-                    gpu.transfer_h2d(cctx, my_bytes);
+                    gpu.transfer_h2d(&cctx, my_bytes).await;
                 })
             })
             .collect();
-        ctx.join_all(&handles);
+        ctx.join_all(&handles).await;
     }
-    coll.barrier(ctx);
+    coll.barrier(ctx).await;
     collect.lock().setup_end[rank] = ctx.now().as_secs_f64();
 
     // ---- Iterations. ----
@@ -1484,12 +1496,12 @@ fn worker_body<A: SpmdApp>(
             let handles: Vec<_> = (0..config.gpus_per_node)
                 .map(|g| {
                     let gpu = node.gpus[g].clone();
-                    ctx.spawn(&format!("restage-gpu{g}"), move |cctx| {
-                        gpu.transfer_h2d(cctx, my_bytes);
+                    ctx.spawn(&format!("restage-gpu{g}"), move |cctx| async move {
+                        gpu.transfer_h2d(&cctx, my_bytes).await;
                     })
                 })
                 .collect();
-            ctx.join_all(&handles);
+            ctx.join_all(&handles).await;
         }
 
         // Surviving-device census: a crashed GPU is excluded from the
@@ -1576,7 +1588,7 @@ fn worker_body<A: SpmdApp>(
                         if speculating {
                             outstanding.insert(id, (block.clone(), true));
                         }
-                        ctx.hold(dispatch);
+                        ctx.hold(dispatch).await;
                         cpu_q.send(
                             ctx,
                             Task::Map {
@@ -1606,7 +1618,7 @@ fn worker_body<A: SpmdApp>(
                             if speculating {
                                 outstanding.insert(id, (block.clone(), true));
                             }
-                            ctx.hold(dispatch);
+                            ctx.hold(dispatch).await;
                             cpu_q.send(
                                 ctx,
                                 Task::Map {
@@ -1628,7 +1640,7 @@ fn worker_body<A: SpmdApp>(
                             if speculating {
                                 outstanding.insert(id, (block.clone(), false));
                             }
-                            ctx.hold(dispatch);
+                            ctx.hold(dispatch).await;
                             gpu_q.send(
                                 ctx,
                                 Task::Map {
@@ -1675,7 +1687,7 @@ fn worker_body<A: SpmdApp>(
         while seen < expected {
             let outcome = if volley_pending && !outstanding.is_empty() {
                 let deadline = spec_deadline.expect("speculation deadline set");
-                match results.recv_deadline(ctx, deadline) {
+                match results.recv_deadline(ctx, deadline).await {
                     RecvOutcome::Msg(r) => Some(r),
                     RecvOutcome::Closed => None,
                     RecvOutcome::TimedOut => {
@@ -1694,7 +1706,7 @@ fn worker_body<A: SpmdApp>(
                                     }
                                 }
                             };
-                            ctx.hold(dispatch);
+                            ctx.hold(dispatch).await;
                             backup_q.send(
                                 ctx,
                                 Task::Map {
@@ -1716,7 +1728,7 @@ fn worker_body<A: SpmdApp>(
                     }
                 }
             } else {
-                results.recv(ctx)
+                results.recv(ctx).await
             };
             match outcome.expect("results channel open") {
                 TaskResult::Map {
@@ -1780,9 +1792,19 @@ fn worker_body<A: SpmdApp>(
                 }
                 TaskResult::GpuDown { gpu, task, lost } => {
                     gpu_down::<A>(
-                        ctx, gpu, task, lost, &mut alive, &config, &cpu_q, &gpu_q, &recovery,
-                        &obs, &sched_lane,
-                    );
+                        ctx,
+                        gpu,
+                        task,
+                        lost,
+                        &mut alive,
+                        &config,
+                        &cpu_q,
+                        &gpu_q,
+                        &recovery,
+                        &obs,
+                        &sched_lane,
+                    )
+                    .await;
                 }
                 TaskResult::Reduce { .. } => unreachable!("no reduce tasks dispatched yet"),
             }
@@ -1804,12 +1826,12 @@ fn worker_body<A: SpmdApp>(
             let handles: Vec<_> = (0..config.gpus_per_node)
                 .map(|g| {
                     let gpu = node.gpus[g].clone();
-                    ctx.spawn(&format!("d2h-gpu{g}"), move |cctx| {
-                        gpu.transfer_d2h(cctx, share.max(1));
+                    ctx.spawn(&format!("d2h-gpu{g}"), move |cctx| async move {
+                        gpu.transfer_d2h(&cctx, share.max(1)).await;
                     })
                 })
                 .collect();
-            ctx.join_all(&handles);
+            ctx.join_all(&handles).await;
         }
         let t_map = ctx.now();
         let obs_cpu = last_cpu_end.map_or(0.0, |t| (t - t0).as_secs_f64());
@@ -1846,7 +1868,7 @@ fn worker_body<A: SpmdApp>(
                 value: (k, v),
             })
             .collect();
-        let arrived = shuffle(&comm, &seq, ctx, items);
+        let arrived = shuffle(&comm, &seq, ctx, items).await;
         let t_shuffle = ctx.now();
 
         // REDUCE.
@@ -1876,18 +1898,28 @@ fn worker_body<A: SpmdApp>(
                     app.compare(a, b).expect("comparator defined for all values")
                 });
             }
-            ctx.hold(dispatch);
+            ctx.hold(dispatch).await;
             reduce_q.send(ctx, Task::Reduce { key, values });
         }
         let mut outputs: Vec<(Key, A::Output)> = Vec::with_capacity(n_reduces as usize);
         while (outputs.len() as u64) < n_reduces {
-            match results.recv(ctx).expect("results channel open") {
+            match results.recv(ctx).await.expect("results channel open") {
                 TaskResult::Reduce { key, output } => outputs.push((key, output)),
                 TaskResult::GpuDown { gpu, task, lost } => {
                     gpu_down::<A>(
-                        ctx, gpu, task, lost, &mut alive, &config, &cpu_q, &gpu_q, &recovery,
-                        &obs, &sched_lane,
-                    );
+                        ctx,
+                        gpu,
+                        task,
+                        lost,
+                        &mut alive,
+                        &config,
+                        &cpu_q,
+                        &gpu_q,
+                        &recovery,
+                        &obs,
+                        &sched_lane,
+                    )
+                    .await;
                 }
                 TaskResult::Map { .. } => unreachable!("map stage already drained"),
                 TaskResult::Cancelled { .. } => {
@@ -1900,7 +1932,7 @@ fn worker_body<A: SpmdApp>(
 
         // GLOBAL GATHER + UPDATE.
         let out_bytes: u64 = outputs.iter().map(|(_, o)| app.output_bytes(o)).sum();
-        let gathered = coll.allgather(ctx, out_bytes.max(1), outputs);
+        let gathered = coll.allgather(ctx, out_bytes.max(1), outputs).await;
         let mut global: Vec<(Key, A::Output)> = gathered.into_iter().flatten().collect();
         global.sort_by_key(|(k, _)| *k);
         // One node decides the iteration's fate, broadcast so replicated
@@ -1969,7 +2001,7 @@ fn worker_body<A: SpmdApp>(
         } else {
             None
         };
-        let verdict = coll.bcast(ctx, 0, 1, verdict);
+        let verdict = coll.bcast(ctx, 0, 1, verdict).await;
         let t_update = ctx.now();
 
         // An aborted attempt stops here: the iteration is not recorded

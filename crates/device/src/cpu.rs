@@ -120,9 +120,14 @@ impl CpuPool {
 
     /// Runs one task on one core: blocks for a core, executes the real
     /// `body`, charges the roofline core time for `work`.
-    pub fn run_task<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
+    pub async fn run_task<R>(
+        &self,
+        ctx: &SimCtx,
+        work: &WorkProfile,
+        body: impl FnOnce() -> R,
+    ) -> R {
         let t_queued = ctx.now();
-        self.cores.acquire(ctx, 1);
+        self.cores.acquire(ctx, 1).await;
         let result = body();
         let t0 = ctx.now();
         let factor = SlowdownWindow::factor_at(&self.slowdowns.lock(), t0);
@@ -132,7 +137,7 @@ impl CpuPool {
         } else {
             SimTime::from_secs_f64(base.as_secs_f64() * factor)
         };
-        ctx.hold(t);
+        ctx.hold(t).await;
         let t_end = ctx.now();
         let recording = self.timeline.lock().is_some() || self.obs.lock().is_some();
         if recording {
@@ -163,8 +168,8 @@ impl CpuPool {
     }
 
     /// Timing-only task.
-    pub fn run_task_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
-        self.run_task(ctx, work, || ());
+    pub async fn run_task_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
+        self.run_task(ctx, work, || ()).await;
     }
 
     /// The duration [`CpuPool::run_task`] would charge for `work`.
@@ -191,9 +196,9 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..12 {
             let p = p.clone();
-            sim.spawn(&format!("t{i}"), move |ctx| {
+            sim.spawn(&format!("t{i}"), move |ctx| async move {
                 let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9);
-                p.run_task_timed(ctx, &w);
+                p.run_task_timed(&ctx, &w).await;
             });
         }
         let report = sim.run().unwrap();
@@ -208,9 +213,9 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..24 {
             let p = p.clone();
-            sim.spawn(&format!("t{i}"), move |ctx| {
+            sim.spawn(&format!("t{i}"), move |ctx| async move {
                 let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9);
-                p.run_task_timed(ctx, &w);
+                p.run_task_timed(&ctx, &w).await;
             });
         }
         let report = sim.run().unwrap();
@@ -222,13 +227,13 @@ mod tests {
         let p = pool();
         let mut sim = Sim::new();
         let p2 = p.clone();
-        sim.spawn("t", move |ctx| {
+        sim.spawn("t", move |ctx| async move {
             // 32/12 GB through a 32 GB/s DRAM shared by 12 cores -> 1 s.
             let w = WorkProfile {
                 flops: 1.0,
                 dram_bytes: 32e9 / 12.0,
             };
-            p2.run_task_timed(ctx, &w);
+            p2.run_task_timed(&ctx, &w).await;
         });
         let report = sim.run().unwrap();
         assert!((report.end_time.as_secs_f64() - 1.0).abs() < 1e-9);
@@ -239,9 +244,9 @@ mod tests {
         let p = pool();
         let mut sim = Sim::new();
         let p2 = p.clone();
-        sim.spawn("t", move |ctx| {
+        sim.spawn("t", move |ctx| async move {
             let w = WorkProfile::from_intensity(1e6, 1.0);
-            let v = p2.run_task(ctx, &w, || 41 + 1);
+            let v = p2.run_task(&ctx, &w, || 41 + 1).await;
             assert_eq!(v, 42);
         });
         sim.run().unwrap();
@@ -257,11 +262,11 @@ mod tests {
         )]);
         let mut sim = Sim::new();
         let p2 = p.clone();
-        sim.spawn("t", move |ctx| {
+        sim.spawn("t", move |ctx| async move {
             let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9); // 1 s nominal
-            p2.run_task_timed(ctx, &w); // starts at 0 inside the window: 4 s
+            p2.run_task_timed(&ctx, &w).await; // starts at 0 inside the window: 4 s
             assert_eq!(ctx.now(), SimTime::from_secs(4));
-            p2.run_task_timed(ctx, &w); // starts at 4, window over: 1 s
+            p2.run_task_timed(&ctx, &w).await; // starts at 4, window over: 1 s
             assert_eq!(ctx.now(), SimTime::from_secs(5));
         });
         sim.run().unwrap();
@@ -283,9 +288,9 @@ mod tests {
         // wave across 12 core lanes and reuse them for the second wave.
         for i in 0..24 {
             let p = p.clone();
-            sim.spawn(&format!("t{i}"), move |ctx| {
+            sim.spawn(&format!("t{i}"), move |ctx| async move {
                 let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9);
-                p.run_task_timed(ctx, &w);
+                p.run_task_timed(&ctx, &w).await;
             });
         }
         sim.run().unwrap();
@@ -303,9 +308,9 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..13 {
             let p = p.clone();
-            sim.spawn(&format!("t{i}"), move |ctx| {
+            sim.spawn(&format!("t{i}"), move |ctx| async move {
                 let w = WorkProfile::from_intensity(130e9 / 12.0, 1e9);
-                p.run_task_timed(ctx, &w);
+                p.run_task_timed(&ctx, &w).await;
             });
         }
         sim.run().unwrap();

@@ -2,9 +2,10 @@
 //! CUDA-like contexts and streams, and device global memory.
 //!
 //! Kernels are *timed* here (roofline cost model, [`crate::cost`]); the
-//! actual numeric work of a kernel runs on host threads in the runtime
-//! layer. Separate compute and copy [`Resource`]s mean transfers and
-//! kernels from different streams overlap exactly as on real hardware.
+//! actual numeric work of a kernel runs on the host, inside the
+//! simulation task that launches it. Separate compute and copy
+//! [`Resource`]s mean transfers and kernels from different streams
+//! overlap exactly as on real hardware.
 
 use crate::cost::{gpu_kernel_time, pcie_transfer_time, OverheadModel, WorkProfile};
 use crate::faults::{GpuCrashed, SlowdownWindow};
@@ -184,8 +185,8 @@ impl Gpu {
     /// Creates a GPU context, paying the creation cost in virtual time.
     /// The paper funnels all GPU access through one daemon precisely to
     /// avoid paying this per task (§III.C.3).
-    pub fn create_context(self: &Arc<Self>, ctx: &SimCtx) -> GpuContext {
-        ctx.hold(self.overheads.context_create);
+    pub async fn create_context(self: &Arc<Self>, ctx: &SimCtx) -> GpuContext {
+        ctx.hold(self.overheads.context_create).await;
         self.stats.lock().contexts += 1;
         GpuContext {
             gpu: self.clone(),
@@ -194,11 +195,11 @@ impl Gpu {
     }
 
     /// Transfers `bytes` host→device on the H2D DMA engine.
-    pub fn transfer_h2d(&self, ctx: &SimCtx, bytes: u64) {
+    pub async fn transfer_h2d(&self, ctx: &SimCtx, bytes: u64) {
         let t = pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64);
-        self.copy_h2d.acquire(ctx, 1);
+        self.copy_h2d.acquire(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(t);
+        ctx.hold(t).await;
         let t1 = ctx.now();
         self.record_tl(&self.lanes.copy_in, &self.lanes.kind_h2d, t0, t1);
         self.record_obs_transfer(&self.lanes.copy_in, &self.lanes.kind_h2d, "h2d", bytes, t0, t1);
@@ -234,12 +235,12 @@ impl Gpu {
     /// Transfers `bytes` device→host: on Kepler-class parts this uses the
     /// second DMA engine and overlaps H2D traffic; on Fermi both
     /// directions share one engine.
-    pub fn transfer_d2h(&self, ctx: &SimCtx, bytes: u64) {
+    pub async fn transfer_d2h(&self, ctx: &SimCtx, bytes: u64) {
         let t = pcie_transfer_time(self.host_dram_bw, &self.spec, &self.overheads, bytes as f64);
         let engine = self.copy_d2h.as_ref().unwrap_or(&self.copy_h2d);
-        engine.acquire(ctx, 1);
+        engine.acquire(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(t);
+        ctx.hold(t).await;
         let t1 = ctx.now();
         self.record_tl(&self.lanes.copy_out, &self.lanes.kind_d2h, t0, t1);
         self.record_obs_transfer(&self.lanes.copy_out, &self.lanes.kind_d2h, "d2h", bytes, t0, t1);
@@ -253,8 +254,9 @@ impl Gpu {
     /// `body` executes the kernel's real host-side computation while the
     /// compute engine is held. Panics if the device has crashed — fault
     /// aware callers use [`Gpu::try_launch`].
-    pub fn launch<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
+    pub async fn launch<R>(&self, ctx: &SimCtx, work: &WorkProfile, body: impl FnOnce() -> R) -> R {
         self.try_launch(ctx, work, body)
+            .await
             .unwrap_or_else(|_| panic!("kernel launched on crashed GPU '{}'", self.name))
     }
 
@@ -263,7 +265,7 @@ impl Gpu {
     /// inside the kernel's execution window). On a mid-kernel crash the
     /// caller is charged the virtual time up to the crash — work lost, not
     /// results — and `body` is never considered to have produced output.
-    pub fn try_launch<R>(
+    pub async fn try_launch<R>(
         &self,
         ctx: &SimCtx,
         work: &WorkProfile,
@@ -273,7 +275,7 @@ impl Gpu {
             return Err(GpuCrashed { lost: SimTime::ZERO });
         }
         let t_queued = ctx.now();
-        self.compute.acquire(ctx, 1);
+        self.compute.acquire(ctx, 1).await;
         let t0 = ctx.now();
         if self.is_crashed(t0) {
             self.compute.release(ctx, 1);
@@ -286,11 +288,12 @@ impl Gpu {
         } else {
             SimTime::from_secs_f64(base.as_secs_f64() * factor)
         };
-        if let Some(at) = *self.crash_at.lock() {
+        let crash_at = *self.crash_at.lock();
+        if let Some(at) = crash_at {
             if t0 + t > at {
                 // Dies mid-kernel: burn the time up to the crash, then fail.
                 let lost = if at > t0 { at - t0 } else { SimTime::ZERO };
-                ctx.hold(lost);
+                ctx.hold(lost).await;
                 let t1 = ctx.now();
                 self.record_tl(&self.lanes.compute, &self.lanes.kind_crashed, t0, t1);
                 if let Some(o) = self.obs.lock().as_ref() {
@@ -307,7 +310,7 @@ impl Gpu {
             }
         }
         let result = body();
-        ctx.hold(t);
+        ctx.hold(t).await;
         let t1 = ctx.now();
         self.record_tl(&self.lanes.compute, &self.lanes.kind_kernel, t0, t1);
         if let Some(o) = self.obs.lock().as_ref() {
@@ -332,8 +335,8 @@ impl Gpu {
     }
 
     /// Timing-only launch (no host-side body).
-    pub fn launch_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
-        self.launch(ctx, work, || ());
+    pub async fn launch_timed(&self, ctx: &SimCtx, work: &WorkProfile) {
+        self.launch(ctx, work, || ()).await;
     }
 
     /// The duration [`Gpu::launch`] would charge for `work`, without
@@ -384,7 +387,7 @@ pub struct Stream<'a> {
 impl Stream<'_> {
     /// Runs one block through the stream: optional input transfer, kernel
     /// (with real host-side `body`), optional output transfer.
-    pub fn run_block<R>(
+    pub async fn run_block<R>(
         &self,
         ctx: &SimCtx,
         h2d_bytes: u64,
@@ -394,11 +397,11 @@ impl Stream<'_> {
     ) -> R {
         let gpu = self.context.gpu();
         if h2d_bytes > 0 {
-            gpu.transfer_h2d(ctx, h2d_bytes);
+            gpu.transfer_h2d(ctx, h2d_bytes).await;
         }
-        let r = gpu.launch(ctx, work, body);
+        let r = gpu.launch(ctx, work, body).await;
         if d2h_bytes > 0 {
-            gpu.transfer_d2h(ctx, d2h_bytes);
+            gpu.transfer_d2h(ctx, d2h_bytes).await;
         }
         r
     }
@@ -420,10 +423,10 @@ mod tests {
         let gpu = delta_gpu(OverheadModel::zero());
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("k", move |ctx| {
+        sim.spawn("k", move |ctx| async move {
             // 1030 Gflop at high AI -> exactly 1 s on the C2070.
             let w = WorkProfile::from_intensity(1030e9, 1e9);
-            g.launch_timed(ctx, &w);
+            g.launch_timed(&ctx, &w).await;
         });
         let report = sim.run().unwrap();
         assert!((report.end_time.as_secs_f64() - 1.0).abs() < 1e-9);
@@ -436,9 +439,9 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..3 {
             let g = gpu.clone();
-            sim.spawn(&format!("k{i}"), move |ctx| {
+            sim.spawn(&format!("k{i}"), move |ctx| async move {
                 let w = WorkProfile::from_intensity(103e9, 1e9); // 0.1 s each
-                g.launch_timed(ctx, &w);
+                g.launch_timed(&ctx, &w).await;
             });
         }
         let report = sim.run().unwrap();
@@ -455,10 +458,10 @@ mod tests {
         let mut sim = Sim::new();
         for i in 0..2 {
             let g = gpu.clone();
-            sim.spawn(&format!("stream{i}"), move |ctx| {
-                let cctx = g.create_context(ctx);
+            sim.spawn(&format!("stream{i}"), move |ctx| async move {
+                let cctx = g.create_context(&ctx).await;
                 let s = cctx.stream();
-                s.run_block(ctx, 1 << 30, &w, 0, || ());
+                s.run_block(&ctx, 1 << 30, &w, 0, || ()).await;
             });
         }
         let report = sim.run().unwrap();
@@ -478,9 +481,9 @@ mod tests {
         let gpu = delta_gpu(OverheadModel::default());
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("p", move |ctx| {
-            let _c1 = g.create_context(ctx);
-            let _c2 = g.create_context(ctx);
+        sim.spawn("p", move |ctx| async move {
+            let _c1 = g.create_context(&ctx).await;
+            let _c2 = g.create_context(&ctx).await;
         });
         let report = sim.run().unwrap();
         let expect = 2.0 * OverheadModel::default().context_create.as_secs_f64();
@@ -495,9 +498,9 @@ mod tests {
         let g = gpu.clone();
         let result = Arc::new(Mutex::new(0u64));
         let r2 = result.clone();
-        sim.spawn("p", move |ctx| {
+        sim.spawn("p", move |ctx| async move {
             let w = WorkProfile::from_intensity(1e9, 10.0);
-            let sum = g.launch(ctx, &w, || (0..100u64).sum::<u64>());
+            let sum = g.launch(&ctx, &w, || (0..100u64).sum::<u64>()).await;
             *r2.lock() = sum;
         });
         sim.run().unwrap();
@@ -509,9 +512,9 @@ mod tests {
         let gpu = delta_gpu(OverheadModel::zero());
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("p", move |ctx| {
-            g.transfer_h2d(ctx, 1000);
-            g.transfer_d2h(ctx, 500);
+        sim.spawn("p", move |ctx| async move {
+            g.transfer_h2d(&ctx, 1000).await;
+            g.transfer_d2h(&ctx, 500).await;
         });
         sim.run().unwrap();
         let s = gpu.stats();
@@ -526,14 +529,14 @@ mod tests {
         gpu.set_crash_at(Some(SimTime::from_secs_f64(0.5)));
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("k", move |ctx| {
+        sim.spawn("k", move |ctx| async move {
             let w = WorkProfile::from_intensity(1030e9, 1e9); // 1 s kernel
-            let err = g.try_launch(ctx, &w, || ()).unwrap_err();
+            let err = g.try_launch(&ctx, &w, || ()).await.unwrap_err();
             assert!((err.lost.as_secs_f64() - 0.5).abs() < 1e-9);
             assert_eq!(ctx.now(), SimTime::from_secs_f64(0.5));
             assert!(g.is_crashed(ctx.now()));
             // Further launches fail immediately with no time lost.
-            let err2 = g.try_launch(ctx, &w, || ()).unwrap_err();
+            let err2 = g.try_launch(&ctx, &w, || ()).await.unwrap_err();
             assert_eq!(err2.lost, SimTime::ZERO);
             assert_eq!(ctx.now(), SimTime::from_secs_f64(0.5));
         });
@@ -548,9 +551,9 @@ mod tests {
         gpu.set_crash_at(Some(SimTime::from_secs(10)));
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("k", move |ctx| {
+        sim.spawn("k", move |ctx| async move {
             let w = WorkProfile::from_intensity(103e9, 1e9); // 0.1 s
-            assert_eq!(g.try_launch(ctx, &w, || 7).unwrap(), 7);
+            assert_eq!(g.try_launch(&ctx, &w, || 7).await.unwrap(), 7);
         });
         sim.run().unwrap();
         assert_eq!(gpu.stats().kernels, 1);
@@ -566,9 +569,9 @@ mod tests {
         )]);
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("k", move |ctx| {
+        sim.spawn("k", move |ctx| async move {
             let w = WorkProfile::from_intensity(1030e9, 1e9); // 1 s nominal
-            g.launch_timed(ctx, &w);
+            g.launch_timed(&ctx, &w).await;
         });
         let report = sim.run().unwrap();
         assert!((report.end_time.as_secs_f64() - 3.0).abs() < 1e-9);
@@ -586,9 +589,13 @@ mod tests {
         let one = gpu.transfer_cost(1 << 30).as_secs_f64();
         let mut sim = Sim::new();
         let g1 = gpu.clone();
-        sim.spawn("h2d", move |ctx| g1.transfer_h2d(ctx, 1 << 30));
+        sim.spawn("h2d", move |ctx| async move {
+            g1.transfer_h2d(&ctx, 1 << 30).await
+        });
         let g2 = gpu.clone();
-        sim.spawn("d2h", move |ctx| g2.transfer_d2h(ctx, 1 << 30));
+        sim.spawn("d2h", move |ctx| async move {
+            g2.transfer_d2h(&ctx, 1 << 30).await
+        });
         let report = sim.run().unwrap();
         assert!(
             (report.end_time.as_secs_f64() - one).abs() < 1e-9,
@@ -609,9 +616,13 @@ mod tests {
         gpu.attach_timeline(tl.clone());
         let mut sim = Sim::new();
         let g1 = gpu.clone();
-        sim.spawn("h2d", move |ctx| g1.transfer_h2d(ctx, 1 << 30));
+        sim.spawn("h2d", move |ctx| async move {
+            g1.transfer_h2d(&ctx, 1 << 30).await
+        });
         let g2 = gpu.clone();
-        sim.spawn("d2h", move |ctx| g2.transfer_d2h(ctx, 1 << 30));
+        sim.spawn("d2h", move |ctx| async move {
+            g2.transfer_d2h(&ctx, 1 << 30).await
+        });
         sim.run().unwrap();
         // The two directions overlap in time, so with one shared lane the
         // no-overlap invariant would trip; dual DMA gets dual lanes.
@@ -627,11 +638,11 @@ mod tests {
         gpu.attach_obs(obs.clone());
         let mut sim = Sim::new();
         let g = gpu.clone();
-        sim.spawn("p", move |ctx| {
-            g.transfer_h2d(ctx, 1000);
+        sim.spawn("p", move |ctx| async move {
+            g.transfer_h2d(&ctx, 1000).await;
             let w = WorkProfile::from_intensity(103e9, 1e9);
-            g.launch_timed(ctx, &w);
-            g.transfer_d2h(ctx, 500);
+            g.launch_timed(&ctx, &w).await;
+            g.transfer_d2h(&ctx, 500).await;
         });
         sim.run().unwrap();
         assert_eq!(obs.bus.len(), 3);
@@ -656,9 +667,13 @@ mod tests {
         let one = gpu.transfer_cost(1 << 30).as_secs_f64();
         let mut sim = Sim::new();
         let g1 = gpu.clone();
-        sim.spawn("h2d", move |ctx| g1.transfer_h2d(ctx, 1 << 30));
+        sim.spawn("h2d", move |ctx| async move {
+            g1.transfer_h2d(&ctx, 1 << 30).await
+        });
         let g2 = gpu.clone();
-        sim.spawn("d2h", move |ctx| g2.transfer_d2h(ctx, 1 << 30));
+        sim.spawn("d2h", move |ctx| async move {
+            g2.transfer_d2h(&ctx, 1 << 30).await
+        });
         let report = sim.run().unwrap();
         assert!((report.end_time.as_secs_f64() - 2.0 * one).abs() < 1e-9);
     }

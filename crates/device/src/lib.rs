@@ -20,7 +20,7 @@
 //! - [`race`] — the first-completion-wins scoreboard arbitrating
 //!   speculative backup tasks against their straggling primaries.
 //!
-//! Real computation executes on host threads inside `launch`/`run_task`
+//! Real computation executes on the host inside `launch`/`run_task`
 //! bodies; only its *duration* is simulated, so experiment outputs are
 //! numerically real while timings are hardware-independent.
 

@@ -34,6 +34,28 @@ fn tag(op: u64, phase: u64) -> u64 {
     COLL_TAG_BASE | (op << 8) | phase
 }
 
+/// Element-wise `combine` of two sparse vectors (ascending `(index,
+/// value)` entries); an index present on one side only keeps its value.
+fn merge_sparse<T>(
+    a: Vec<(usize, T)>,
+    b: Vec<(usize, T)>,
+    combine: impl Fn(T, T) -> T,
+) -> Vec<(usize, T)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for (i, x) in a {
+        while let Some((j, y)) = b.next_if(|(j, _)| *j < i) {
+            out.push((j, y));
+        }
+        match b.next_if(|(j, _)| *j == i) {
+            Some((_, y)) => out.push((i, combine(x, y))),
+            None => out.push((i, x)),
+        }
+    }
+    out.extend(b);
+    out
+}
+
 /// Collective operations bound to one rank's communicator.
 pub struct Collectives<'a> {
     comm: &'a Communicator,
@@ -52,7 +74,7 @@ impl Communicator {
 impl Collectives<'_> {
     /// Broadcast `value` (wire size `bytes`) from `root` to every rank,
     /// binomial tree: O(log n) rounds.
-    pub fn bcast<T: Clone + Send + 'static>(
+    pub async fn bcast<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -60,10 +82,10 @@ impl Collectives<'_> {
         value: Option<T>,
     ) -> T {
         let op = self.seq.next();
-        self.bcast_inner(ctx, root, bytes, value, op)
+        self.bcast_inner(ctx, root, bytes, value, op).await
     }
 
-    fn bcast_inner<T: Clone + Send + 'static>(
+    async fn bcast_inner<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -84,7 +106,7 @@ impl Collectives<'_> {
         while mask < n {
             if relative & mask != 0 {
                 let src = (relative - mask + root) % n;
-                current = Some(self.comm.recv::<T>(ctx, src, tag(op, 0)));
+                current = Some(self.comm.recv::<T>(ctx, src, tag(op, 0)).await);
                 break;
             }
             mask <<= 1;
@@ -94,7 +116,7 @@ impl Collectives<'_> {
         while mask > 0 {
             if relative + mask < n {
                 let dst = (relative + mask + root) % n;
-                self.comm.send(ctx, dst, tag(op, 0), bytes, v.clone());
+                self.comm.send(ctx, dst, tag(op, 0), bytes, v.clone()).await;
             }
             mask >>= 1;
         }
@@ -105,7 +127,7 @@ impl Collectives<'_> {
     /// `combine`, binomial tree. Returns `Some(total)` on the root, `None`
     /// elsewhere. Combine order is fixed by the tree, so floating-point
     /// results are deterministic.
-    pub fn reduce<T: Send + 'static>(
+    pub async fn reduce<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -115,9 +137,10 @@ impl Collectives<'_> {
     ) -> Option<T> {
         let op = self.seq.next();
         self.reduce_inner(ctx, root, bytes, value, combine, op)
+            .await
     }
 
-    fn reduce_inner<T: Send + 'static>(
+    async fn reduce_inner<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -136,13 +159,13 @@ impl Collectives<'_> {
                 let child_rel = relative | mask;
                 if child_rel < n {
                     let src = (child_rel + root) % n;
-                    let part = self.comm.recv::<T>(ctx, src, tag(op, 1));
+                    let part = self.comm.recv::<T>(ctx, src, tag(op, 1)).await;
                     acc = combine(acc, part);
                 }
             } else {
                 let parent_rel = relative & !mask;
                 let dst = (parent_rel + root) % n;
-                self.comm.send(ctx, dst, tag(op, 1), bytes, acc);
+                self.comm.send(ctx, dst, tag(op, 1), bytes, acc).await;
                 return None;
             }
             mask <<= 1;
@@ -151,7 +174,7 @@ impl Collectives<'_> {
     }
 
     /// Reduce-then-broadcast allreduce; every rank returns the total.
-    pub fn allreduce<T: Clone + Send + 'static>(
+    pub async fn allreduce<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         bytes: u64,
@@ -159,20 +182,21 @@ impl Collectives<'_> {
         combine: impl Fn(T, T) -> T,
     ) -> T {
         let op = self.seq.next();
-        let reduced = self.reduce_inner(ctx, 0, bytes, value, combine, op);
+        let reduced = self.reduce_inner(ctx, 0, bytes, value, combine, op).await;
         self.bcast_inner(ctx, 0, bytes, reduced, op + (1 << 32))
+            .await
     }
 
     /// Synchronizes all ranks: nobody returns until everybody has entered.
-    pub fn barrier(&self, ctx: &SimCtx) {
+    pub async fn barrier(&self, ctx: &SimCtx) {
         // A zero-byte allreduce of unit.
-        self.allreduce(ctx, 0, (), |(), ()| ());
+        self.allreduce(ctx, 0, (), |(), ()| ()).await;
     }
 
     /// Gather to `root`: every rank contributes `value`; the root returns
     /// `Some(vec)` indexed by rank, others `None`. Flat (non-tree) — fine
     /// for small payloads, O(n) messages into the root.
-    pub fn gather<T: Send + 'static>(
+    pub async fn gather<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -186,18 +210,20 @@ impl Collectives<'_> {
             let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
             slots[root] = Some(value);
             for src in (0..n).filter(|&s| s != root) {
-                slots[src] = Some(self.comm.recv::<T>(ctx, src, tag(op, 2)));
+                slots[src] = Some(self.comm.recv::<T>(ctx, src, tag(op, 2)).await);
             }
             Some(slots.into_iter().map(|s| s.unwrap()).collect())
         } else {
-            self.comm.send(ctx, root, tag(op, 2), bytes_each, value);
+            self.comm
+                .send(ctx, root, tag(op, 2), bytes_each, value)
+                .await;
             None
         }
     }
 
     /// Scatter from `root`: the root supplies one value per rank
     /// (`Some(values)`, length = size); every rank returns its own slot.
-    pub fn scatter<T: Send + 'static>(
+    pub async fn scatter<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         root: usize,
@@ -218,43 +244,54 @@ impl Collectives<'_> {
                 if dst == rank {
                     mine = Some(v);
                 } else {
-                    self.comm.send(ctx, dst, tag(op, 3), bytes_each, v);
+                    self.comm.send(ctx, dst, tag(op, 3), bytes_each, v).await;
                 }
             }
             mine.expect("root keeps its own slot")
         } else {
             assert!(values.is_none(), "non-root ranks pass None to scatter");
-            self.comm.recv::<T>(ctx, root, tag(op, 3))
+            self.comm.recv::<T>(ctx, root, tag(op, 3)).await
         }
     }
 
-    /// Reduce-scatter: element-wise reduction of per-rank vectors (length
-    /// = size), each rank receiving the reduced element for its own index.
-    /// Implemented as reduce-to-0 + scatter; returns this rank's element.
-    pub fn reduce_scatter<T: Clone + Send + 'static>(
+    /// Reduce-scatter: element-wise reduction of per-rank vectors of
+    /// length = size, each rank receiving the reduced element for its own
+    /// index. Vectors are passed sparse, as `(index, value)` entries in
+    /// ascending index order: an absent index holds `T::default()`, which
+    /// must be the identity of `combine`. The wire still carries the dense
+    /// vector (`bytes_each` per element). Implemented as reduce-to-0 +
+    /// scatter; returns this rank's element.
+    pub async fn reduce_scatter<T: Clone + Default + Send + 'static>(
         &self,
         ctx: &SimCtx,
         bytes_each: u64,
-        values: Vec<T>,
+        entries: Vec<(usize, T)>,
         combine: impl Fn(T, T) -> T + Copy,
     ) -> T {
         let n = self.comm.size();
-        assert_eq!(values.len(), n, "reduce_scatter needs one value per rank");
-        let op = self.seq.next();
-        let reduced = self.reduce_inner(
-            ctx,
-            0,
-            bytes_each * n as u64,
-            values,
-            |a, b| {
-                a.into_iter()
-                    .zip(b)
-                    .map(|(x, y)| combine(x, y))
-                    .collect::<Vec<T>>()
-            },
-            op,
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0) && entries.last().is_none_or(|e| e.0 < n),
+            "reduce_scatter entries need strictly ascending indices below the rank count"
         );
-        self.scatter(ctx, 0, bytes_each, reduced)
+        let op = self.seq.next();
+        let reduced = self
+            .reduce_inner(
+                ctx,
+                0,
+                bytes_each * n as u64,
+                entries,
+                |a, b| merge_sparse(a, b, combine),
+                op,
+            )
+            .await;
+        let dense = reduced.map(|entries| {
+            let mut values = vec![T::default(); n];
+            for (i, v) in entries {
+                values[i] = v;
+            }
+            values
+        });
+        self.scatter(ctx, 0, bytes_each, dense).await
     }
 
     /// Allgather: every rank contributes `value` (wire size `bytes_each`)
@@ -262,15 +299,15 @@ impl Collectives<'_> {
     /// binomial broadcast of the assembled vector — O(n) messages and
     /// O(log n) latency rounds, where the textbook ring's O(n²) messages
     /// dominate engine time on 1000-rank jobs.
-    pub fn allgather<T: Clone + Send + 'static>(
+    pub async fn allgather<T: Clone + Send + 'static>(
         &self,
         ctx: &SimCtx,
         bytes_each: u64,
         value: T,
     ) -> Vec<T> {
         let n = self.comm.size();
-        let gathered = self.gather(ctx, 0, bytes_each, value);
-        self.bcast(ctx, 0, bytes_each * n as u64, gathered)
+        let gathered = self.gather(ctx, 0, bytes_each, value).await;
+        self.bcast(ctx, 0, bytes_each * n as u64, gathered).await
     }
 }
 
@@ -288,7 +325,7 @@ mod tests {
     fn run_spmd<R: Send + 'static>(
         n: usize,
         params: NetworkParams,
-        body: impl Fn(usize, &SimCtx, &Collectives<'_>) -> R + Send + Sync + 'static,
+        body: impl AsyncFn(usize, &SimCtx, &Collectives<'_>) -> R + 'static,
     ) -> Vec<R> {
         let mut sim = Sim::new();
         let net = Network::new("n", n, params);
@@ -298,10 +335,10 @@ mod tests {
             let comm = net.communicator(rank);
             let results = results.clone();
             let body = body.clone();
-            sim.spawn(&format!("rank{rank}"), move |ctx| {
+            sim.spawn(&format!("rank{rank}"), move |ctx| async move {
                 let seq = CollectiveSeq::new();
                 let coll = comm.collectives(&seq);
-                let r = body(rank, ctx, &coll);
+                let r = body(rank, &ctx, &coll).await;
                 results.lock()[rank] = Some(r);
             });
         }
@@ -318,9 +355,9 @@ mod tests {
     #[test]
     fn bcast_delivers_to_all_ranks() {
         for n in [1, 2, 3, 5, 8] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
                 let v = if rank == 2 % n { Some(vec![9u8, 9]) } else { None };
-                coll.bcast(ctx, 2 % n, 2, v)
+                coll.bcast(ctx, 2 % n, 2, v).await
             });
             assert!(got.iter().all(|v| v == &vec![9u8, 9]), "n = {n}");
         }
@@ -329,8 +366,8 @@ mod tests {
     #[test]
     fn reduce_sums_all_ranks() {
         for n in [1, 2, 4, 7] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
-                coll.reduce(ctx, 0, 8, rank as u64, |a, b| a + b)
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
+                coll.reduce(ctx, 0, 8, rank as u64, |a, b| a + b).await
             });
             let expect: u64 = (0..n as u64).sum();
             assert_eq!(got[0], Some(expect), "n = {n}");
@@ -341,8 +378,9 @@ mod tests {
     #[test]
     fn allreduce_gives_everyone_the_total() {
         for n in [1, 2, 3, 6, 8] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
                 coll.allreduce(ctx, 8, (rank + 1) as u64, |a, b| a + b)
+                    .await
             });
             let expect: u64 = (1..=n as u64).sum();
             assert!(got.iter().all(|&v| v == expect), "n = {n}: {got:?}");
@@ -352,8 +390,8 @@ mod tests {
     #[test]
     fn allgather_orders_by_rank() {
         for n in [1, 2, 5, 8] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
-                coll.allgather(ctx, 8, rank * 10)
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
+                coll.allgather(ctx, 8, rank * 10).await
             });
             let expect: Vec<usize> = (0..n).map(|r| r * 10).collect();
             assert!(got.iter().all(|v| v == &expect), "n = {n}: {got:?}");
@@ -363,8 +401,8 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         for n in [1, 3, 6] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
-                coll.gather(ctx, 0, 8, rank * 2)
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
+                coll.gather(ctx, 0, 8, rank * 2).await
             });
             let expect: Vec<usize> = (0..n).map(|r| r * 2).collect();
             assert_eq!(got[0], Some(expect), "n = {n}");
@@ -375,9 +413,9 @@ mod tests {
     #[test]
     fn scatter_distributes_root_values() {
         for n in [1, 2, 5] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
                 let values = (rank == 1 % n).then(|| (0..n).map(|i| i * 10).collect());
-                coll.scatter(ctx, 1 % n, 8, values)
+                coll.scatter(ctx, 1 % n, 8, values).await
             });
             let expect: Vec<usize> = (0..n).map(|r| r * 10).collect();
             assert_eq!(got, expect, "n = {n}");
@@ -387,11 +425,11 @@ mod tests {
     #[test]
     fn reduce_scatter_gives_each_rank_its_element() {
         for n in [1, 2, 4, 6] {
-            let got = run_spmd(n, NetworkParams::ideal(), move |rank, ctx, coll| {
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
                 // Rank r contributes the vector [r, r, ...]; element-wise
                 // sum is n(n-1)/2 everywhere.
-                let values = vec![rank as u64; n];
-                coll.reduce_scatter(ctx, 8, values, |a, b| a + b)
+                let values = (0..n).map(|i| (i, rank as u64)).collect();
+                coll.reduce_scatter(ctx, 8, values, |a, b| a + b).await
             });
             let expect = (n as u64 * (n as u64 - 1)) / 2;
             assert!(got.iter().all(|&v| v == expect), "n = {n}: {got:?}");
@@ -399,19 +437,42 @@ mod tests {
     }
 
     #[test]
+    fn reduce_scatter_fills_absent_entries_with_default() {
+        for n in [1, 3, 7] {
+            let got = run_spmd(n, NetworkParams::ideal(), async move |rank, ctx, coll| {
+                // Rank r names only ranks r+1 and r+2: every rank is named
+                // by exactly two others (when n > 2), absent slots are 0.
+                let mut named: Vec<usize> = [1, 2].iter().map(|d| (rank + d) % n).collect();
+                named.sort_unstable();
+                named.dedup();
+                let entries = named.into_iter().map(|i| (i, 1u64)).collect();
+                coll.reduce_scatter(ctx, 8, entries, |a, b| a + b).await
+            });
+            let expect: Vec<u64> = (0..n)
+                .map(|r| {
+                    (0..n)
+                        .filter(|s| [1, 2].iter().any(|d| (s + d) % n == r))
+                        .count() as u64
+                })
+                .collect();
+            assert_eq!(got, expect, "n = {n}");
+        }
+    }
+
+    #[test]
     fn gather_then_scatter_round_trips() {
-        let got = run_spmd(4, NetworkParams::ideal(), |rank, ctx, coll| {
-            let gathered = coll.gather(ctx, 0, 8, rank + 100);
-            coll.scatter(ctx, 0, 8, gathered)
+        let got = run_spmd(4, NetworkParams::ideal(), async |rank, ctx, coll| {
+            let gathered = coll.gather(ctx, 0, 8, rank + 100).await;
+            coll.scatter(ctx, 0, 8, gathered).await
         });
         assert_eq!(got, vec![100, 101, 102, 103]);
     }
 
     #[test]
     fn barrier_aligns_ranks_to_slowest() {
-        let got = run_spmd(4, NetworkParams::ideal(), |rank, ctx, coll| {
-            ctx.hold(SimTime::from_secs(rank as u64));
-            coll.barrier(ctx);
+        let got = run_spmd(4, NetworkParams::ideal(), async |rank, ctx, coll| {
+            ctx.hold(SimTime::from_secs(rank as u64)).await;
+            coll.barrier(ctx).await;
             ctx.now()
         });
         // Rank 3 enters at t=3; everyone leaves at >= 3.
@@ -420,10 +481,10 @@ mod tests {
 
     #[test]
     fn successive_collectives_do_not_interfere() {
-        let got = run_spmd(4, NetworkParams::ideal(), |rank, ctx, coll| {
-            let a = coll.allreduce(ctx, 8, rank as u64, |a, b| a + b);
-            let b = coll.allreduce(ctx, 8, 1u64, |a, b| a + b);
-            let c = coll.allgather(ctx, 8, rank);
+        let got = run_spmd(4, NetworkParams::ideal(), async |rank, ctx, coll| {
+            let a = coll.allreduce(ctx, 8, rank as u64, |a, b| a + b).await;
+            let b = coll.allreduce(ctx, 8, 1u64, |a, b| a + b).await;
+            let c = coll.allgather(ctx, 8, rank).await;
             (a, b, c)
         });
         for (a, b, c) in got {
@@ -441,9 +502,9 @@ mod tests {
             latency: SimTime::from_secs(1),
             bandwidth: 1e12,
         };
-        let got = run_spmd(8, params, |rank, ctx, coll| {
+        let got = run_spmd(8, params, async |rank, ctx, coll| {
             let v = if rank == 0 { Some(0u8) } else { None };
-            coll.bcast(ctx, 0, 1, v);
+            coll.bcast(ctx, 0, 1, v).await;
             ctx.now()
         });
         let finish = got.iter().cloned().fold(SimTime::ZERO, SimTime::max);
@@ -456,9 +517,9 @@ mod tests {
     #[test]
     fn reduce_is_deterministic_for_floats() {
         let run = || {
-            run_spmd(7, NetworkParams::ideal(), |rank, ctx, coll| {
+            run_spmd(7, NetworkParams::ideal(), async |rank, ctx, coll| {
                 let x = 0.1f64 * (rank as f64 + 1.0);
-                coll.allreduce(ctx, 8, x, |a, b| a + b)
+                coll.allreduce(ctx, 8, x, |a, b| a + b).await
             })
         };
         let a = run();

@@ -8,6 +8,7 @@ use obs::{trace_ctx, Obs, TraceCtx};
 use parking_lot::Mutex;
 use simtime::{Channel, Resource, SimCtx, SimTime};
 use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -188,7 +189,7 @@ impl Network {
         Communicator {
             net: self.clone(),
             rank,
-            pending: Mutex::new(Vec::new()),
+            pending: Mutex::new(VecDeque::new()),
             trace: Mutex::new(TraceCtx::default()),
             obs_cache: Mutex::new((0, None)),
         }
@@ -202,7 +203,9 @@ pub struct Communicator {
     pub(crate) net: Arc<Network>,
     pub(crate) rank: usize,
     /// Received-but-unmatched messages (MPI's unexpected-message queue).
-    pending: Mutex<Vec<Message>>,
+    /// A deque: a shuffle owner drains thousands of early batches from
+    /// the front, which a `Vec` would shift on every removal.
+    pending: Mutex<VecDeque<Message>>,
     /// Causal context stamped on outgoing messages; see
     /// [`Communicator::set_trace_ctx`].
     trace: Mutex<TraceCtx>,
@@ -259,7 +262,14 @@ impl Communicator {
     /// (messages from one rank share its NIC), then the message arrives at
     /// `dst` after the additional link latency α. Self-sends deliver
     /// immediately without touching the NIC.
-    pub fn send<T: Send + 'static>(&self, ctx: &SimCtx, dst: usize, tag: u64, bytes: u64, value: T) {
+    pub async fn send<T: Send + 'static>(
+        &self,
+        ctx: &SimCtx,
+        dst: usize,
+        tag: u64,
+        bytes: u64,
+        value: T,
+    ) {
         assert!(dst < self.size(), "send to out-of-range rank {dst}");
         if dst == self.rank {
             // Self-sends never touch the NIC and mint no flow (flow 0):
@@ -292,9 +302,9 @@ impl Communicator {
         let (wire, mut delay, release) =
             self.net.disruption_effects(self.rank, dst, ctx.now(), bytes);
         let egress = &self.net.egress[self.rank];
-        egress.acquire(ctx, 1);
+        egress.acquire(ctx, 1).await;
         let t0 = ctx.now();
-        ctx.hold(wire);
+        ctx.hold(wire).await;
         let t1 = ctx.now();
         if let Some(o) = self.net_obs() {
             if let Some(d) = o.obs.bus.span_interned(&o.lanes[self.rank], &o.kind_send, t0, t1) {
@@ -341,13 +351,13 @@ impl Communicator {
     /// Blocks until a message from `src` with `tag` arrives; returns its
     /// payload. Panics if the payload type does not match `T` (a protocol
     /// error, not a recoverable condition).
-    pub fn recv<T: Send + 'static>(&self, ctx: &SimCtx, src: usize, tag: u64) -> T {
-        self.recv_with_bytes(ctx, src, tag).0
+    pub async fn recv<T: Send + 'static>(&self, ctx: &SimCtx, src: usize, tag: u64) -> T {
+        self.recv_with_bytes(ctx, src, tag).await.0
     }
 
     /// Like [`Communicator::recv`], additionally returning the declared
     /// wire size.
-    pub fn recv_with_bytes<T: Send + 'static>(
+    pub async fn recv_with_bytes<T: Send + 'static>(
         &self,
         ctx: &SimCtx,
         src: usize,
@@ -357,7 +367,7 @@ impl Communicator {
         {
             let mut pending = self.pending.lock();
             if let Some(pos) = pending.iter().position(|m| m.src == src && m.tag == tag) {
-                let m = pending.swap_remove(pos);
+                let m = pending.swap_remove_back(pos).expect("position is in range");
                 drop(pending);
                 self.note_recv(ctx, &m);
                 return (downcast_payload(m.payload, src, tag), m.bytes);
@@ -366,12 +376,13 @@ impl Communicator {
         loop {
             let m = self.net.inboxes[self.rank]
                 .recv(ctx)
+                .await
                 .expect("network inbox closed while receiving");
             if m.src == src && m.tag == tag {
                 self.note_recv(ctx, &m);
                 return (downcast_payload(m.payload, src, tag), m.bytes);
             }
-            self.pending.lock().push(m);
+            self.pending.lock().push_back(m);
         }
     }
 
@@ -381,11 +392,11 @@ impl Communicator {
     /// identical across runs. Used by the sparse shuffle,
     /// where the receiver knows how many batches are coming but not from
     /// whom.
-    pub fn recv_any<T: Send + 'static>(&self, ctx: &SimCtx, tag: u64) -> (usize, T) {
+    pub async fn recv_any<T: Send + 'static>(&self, ctx: &SimCtx, tag: u64) -> (usize, T) {
         {
             let mut pending = self.pending.lock();
             if let Some(pos) = pending.iter().position(|m| m.tag == tag) {
-                let m = pending.remove(pos);
+                let m = pending.remove(pos).expect("position is in range");
                 drop(pending);
                 self.note_recv(ctx, &m);
                 let src = m.src;
@@ -395,13 +406,14 @@ impl Communicator {
         loop {
             let m = self.net.inboxes[self.rank]
                 .recv(ctx)
+                .await
                 .expect("network inbox closed while receiving");
             if m.tag == tag {
                 let src = m.src;
                 self.note_recv(ctx, &m);
                 return (src, downcast_payload(m.payload, src, tag));
             }
-            self.pending.lock().push(m);
+            self.pending.lock().push_back(m);
         }
     }
 
@@ -446,7 +458,7 @@ impl Communicator {
         // Drain the inbox into pending without blocking.
         while let Some(m) = self.net.inboxes[self.rank].try_recv() {
             let hit = m.src == src && m.tag == tag;
-            self.pending.lock().push(m);
+            self.pending.lock().push_back(m);
             if hit {
                 return true;
             }
@@ -482,11 +494,11 @@ mod tests {
         let net = Network::new("n", 2, params());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 7, 200, vec![1u32, 2, 3]);
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 7, 200, vec![1u32, 2, 3]).await;
         });
-        sim.spawn("r1", move |ctx| {
-            let v: Vec<u32> = c1.recv(ctx, 0, 7);
+        sim.spawn("r1", move |ctx| async move {
+            let v: Vec<u32> = c1.recv(&ctx, 0, 7).await;
             assert_eq!(v, vec![1, 2, 3]);
             // 200 bytes at 100 B/s = 2 s wire + 1 s latency.
             assert_eq!(ctx.now(), SimTime::from_secs(3));
@@ -500,14 +512,14 @@ mod tests {
         let net = Network::new("n", 2, NetworkParams::ideal());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 1, 10, "first");
-            c0.send(ctx, 1, 2, 10, "second");
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 1, 10, "first").await;
+            c0.send(&ctx, 1, 2, 10, "second").await;
         });
-        sim.spawn("r1", move |ctx| {
+        sim.spawn("r1", move |ctx| async move {
             // Receive in the opposite order of sending.
-            let b: &str = c1.recv(ctx, 0, 2);
-            let a: &str = c1.recv(ctx, 0, 1);
+            let b: &str = c1.recv(&ctx, 0, 2).await;
+            let a: &str = c1.recv(&ctx, 0, 1).await;
             assert_eq!((a, b), ("first", "second"));
         });
         sim.run().unwrap();
@@ -518,21 +530,21 @@ mod tests {
         let mut sim = Sim::new();
         let net = Network::new("n", 3, params());
         let c0 = net.communicator(0);
-        sim.spawn("r0", move |ctx| {
+        sim.spawn("r0", move |ctx| async move {
             // Two 100-byte messages to different ranks share rank 0's NIC:
             // sender is busy 1 s + 1 s.
-            c0.send(ctx, 1, 0, 100, ());
-            c0.send(ctx, 2, 0, 100, ());
+            c0.send(&ctx, 1, 0, 100, ()).await;
+            c0.send(&ctx, 2, 0, 100, ()).await;
             assert_eq!(ctx.now(), SimTime::from_secs(2));
         });
         let c1 = net.communicator(1);
-        sim.spawn("r1", move |ctx| {
-            c1.recv::<()>(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            c1.recv::<()>(&ctx, 0, 0).await;
             assert_eq!(ctx.now(), SimTime::from_secs(2)); // 1 wire + 1 α
         });
         let c2 = net.communicator(2);
-        sim.spawn("r2", move |ctx| {
-            c2.recv::<()>(ctx, 0, 0);
+        sim.spawn("r2", move |ctx| async move {
+            c2.recv::<()>(&ctx, 0, 0).await;
             assert_eq!(ctx.now(), SimTime::from_secs(3)); // queued behind msg 1
         });
         sim.run().unwrap();
@@ -544,14 +556,14 @@ mod tests {
         let net = Network::new("n", 3, params());
         for src in 0..2usize {
             let c = net.communicator(src);
-            sim.spawn(&format!("r{src}"), move |ctx| {
-                c.send(ctx, 2, src as u64, 100, src);
+            sim.spawn(&format!("r{src}"), move |ctx| async move {
+                c.send(&ctx, 2, src as u64, 100, src).await;
             });
         }
         let c2 = net.communicator(2);
-        sim.spawn("r2", move |ctx| {
-            let a: usize = c2.recv(ctx, 0, 0);
-            let b: usize = c2.recv(ctx, 1, 1);
+        sim.spawn("r2", move |ctx| async move {
+            let a: usize = c2.recv(&ctx, 0, 0).await;
+            let b: usize = c2.recv(&ctx, 1, 1).await;
             assert_eq!((a, b), (0, 1));
             // Both arrive at t = 2 (parallel NICs), not t = 3.
             assert_eq!(ctx.now(), SimTime::from_secs(2));
@@ -564,9 +576,9 @@ mod tests {
         let mut sim = Sim::new();
         let net = Network::new("n", 1, params());
         let c = net.communicator(0);
-        sim.spawn("r0", move |ctx| {
-            c.send(ctx, 0, 5, 1 << 30, 42u64);
-            let v: u64 = c.recv(ctx, 0, 5);
+        sim.spawn("r0", move |ctx| async move {
+            c.send(&ctx, 0, 5, 1 << 30, 42u64).await;
+            let v: u64 = c.recv(&ctx, 0, 5).await;
             assert_eq!(v, 42);
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
@@ -579,14 +591,14 @@ mod tests {
         let net = Network::new("n", 2, NetworkParams::ideal());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 9, 8, 1u8);
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 9, 8, 1u8).await;
         });
-        sim.spawn("r1", move |ctx| {
+        sim.spawn("r1", move |ctx| async move {
             assert!(!c1.probe(0, 4), "no message with tag 4");
-            ctx.hold(SimTime::from_secs(1));
+            ctx.hold(SimTime::from_secs(1)).await;
             assert!(c1.probe(0, 9));
-            let _: u8 = c1.recv(ctx, 0, 9);
+            let _: u8 = c1.recv(&ctx, 0, 9).await;
         });
         sim.run().unwrap();
     }
@@ -604,15 +616,15 @@ mod tests {
         )]);
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 0, 100, ()); // before the window: normal
-            ctx.hold(SimTime::from_secs(11)); // now t = 12, inside window
-            c0.send(ctx, 1, 1, 100, ());
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 0, 100, ()).await; // before the window: normal
+            ctx.hold(SimTime::from_secs(11)).await; // now t = 12, inside window
+            c0.send(&ctx, 1, 1, 100, ()).await;
         });
-        sim.spawn("r1", move |ctx| {
-            c1.recv::<()>(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            c1.recv::<()>(&ctx, 0, 0).await;
             assert_eq!(ctx.now(), SimTime::from_secs(2)); // 1 wire + 1 α
-            c1.recv::<()>(ctx, 0, 1);
+            c1.recv::<()>(&ctx, 0, 1).await;
             // Sent at 12, 1 s wire, 1 s α + 4 s jitter = arrives at 18.
             assert_eq!(ctx.now(), SimTime::from_secs(18));
         });
@@ -634,13 +646,13 @@ mod tests {
         }]);
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 0, 100, ());
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 0, 100, ()).await;
             // 100 B at an effective 25 B/s: the NIC is busy 4 s, not 1 s.
             assert_eq!(ctx.now(), SimTime::from_secs(4));
         });
-        sim.spawn("r1", move |ctx| {
-            c1.recv::<()>(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            c1.recv::<()>(&ctx, 0, 0).await;
             assert_eq!(ctx.now(), SimTime::from_secs(5));
         });
         sim.run().unwrap();
@@ -658,11 +670,11 @@ mod tests {
         )]);
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 0, 100, 77u8);
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 0, 100, 77u8).await;
         });
-        sim.spawn("r1", move |ctx| {
-            let v: u8 = c1.recv(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            let v: u8 = c1.recv(&ctx, 0, 0).await;
             assert_eq!(v, 77);
             // Held until the partition heals at t = 30, plus 1 s latency.
             assert_eq!(ctx.now(), SimTime::from_secs(31));
@@ -678,12 +690,12 @@ mod tests {
         net.attach_obs(o.clone());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 0, 1, 500, ()); // self-send: no NIC, no event
-            c0.send(ctx, 1, 0, 200, ());
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 0, 1, 500, ()).await; // self-send: no NIC, no event
+            c0.send(&ctx, 1, 0, 200, ()).await;
         });
-        sim.spawn("r1", move |ctx| {
-            c1.recv::<()>(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            c1.recv::<()>(&ctx, 0, 0).await;
         });
         sim.run().unwrap();
         // One cross-rank transfer: a `net-send` NIC span, a `msg-send`
@@ -709,11 +721,11 @@ mod tests {
         let c1 = net.communicator(1);
         let o = obs::Obs::recording();
         net.attach_obs(o.clone()); // AFTER communicator construction
-        sim.spawn("r0", move |ctx| {
-            c0.send(ctx, 1, 0, 100, 9u8);
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 0, 100, 9u8).await;
         });
-        sim.spawn("r1", move |ctx| {
-            let _: u8 = c1.recv(ctx, 0, 0);
+        sim.spawn("r1", move |ctx| async move {
+            let _: u8 = c1.recv(&ctx, 0, 0).await;
         });
         sim.run().unwrap();
         assert_eq!(o.bus.len(), 3, "late attach_obs must still trace");
@@ -728,14 +740,14 @@ mod tests {
         net.attach_obs(o.clone());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| {
+        sim.spawn("r0", move |ctx| async move {
             c0.set_trace_ctx(obs::TraceCtx::root(3, 1));
-            c0.send(ctx, 1, 0, 100, ());
-            c0.send(ctx, 1, 1, 100, ());
+            c0.send(&ctx, 1, 0, 100, ()).await;
+            c0.send(&ctx, 1, 1, 100, ()).await;
         });
-        sim.spawn("r1", move |ctx| {
-            c1.recv::<()>(ctx, 0, 0);
-            c1.recv::<()>(ctx, 0, 1);
+        sim.spawn("r1", move |ctx| async move {
+            c1.recv::<()>(&ctx, 0, 0).await;
+            c1.recv::<()>(&ctx, 0, 1).await;
         });
         sim.run().unwrap();
         let events = o.bus.events();
@@ -779,9 +791,11 @@ mod tests {
         let net = Network::new("n", 2, NetworkParams::ideal());
         let c0 = net.communicator(0);
         let c1 = net.communicator(1);
-        sim.spawn("r0", move |ctx| c0.send(ctx, 1, 0, 8, 1u32));
-        sim.spawn("r1", move |ctx| {
-            let _: String = c1.recv(ctx, 0, 0);
+        sim.spawn("r0", move |ctx| async move {
+            c0.send(&ctx, 1, 0, 8, 1u32).await
+        });
+        sim.spawn("r1", move |ctx| async move {
+            let _: String = c1.recv(&ctx, 0, 0).await;
         });
         let err = sim.run().unwrap_err();
         assert!(err.to_string().contains("type mismatch"));

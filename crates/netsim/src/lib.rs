@@ -55,9 +55,9 @@ mod proptests {
             for (rank, &v) in values.iter().enumerate().take(n) {
                 let comm = net.communicator(rank);
                 let results = results.clone();
-                sim.spawn(&format!("r{rank}"), move |ctx| {
+                sim.spawn(&format!("r{rank}"), move |ctx| async move {
                     let seq = CollectiveSeq::new();
-                    let total = comm.collectives(&seq).allreduce(ctx, 8, v, |a, b| a + b);
+                    let total = comm.collectives(&seq).allreduce(&ctx, 8, v, |a, b| a + b).await;
                     results.lock()[rank] = total;
                 });
             }
@@ -79,7 +79,7 @@ mod proptests {
                 let comm = net.communicator(rank);
                 let results = results.clone();
                 let buckets = buckets.clone();
-                sim.spawn(&format!("r{rank}"), move |ctx| {
+                sim.spawn(&format!("r{rank}"), move |ctx| async move {
                     let seq = CollectiveSeq::new();
                     // Each rank contributes the items whose index ≡ rank.
                     let items: Vec<ShuffleItem<u64>> = buckets
@@ -88,7 +88,7 @@ mod proptests {
                         .filter(|(i, _)| i % n == rank)
                         .map(|(i, &b)| ShuffleItem { bucket: b, bytes: 8, value: i as u64 })
                         .collect();
-                    let out = shuffle(&comm, &seq, ctx, items);
+                    let out = shuffle(&comm, &seq, &ctx, items).await;
                     results.lock()[rank] = out;
                 });
             }

@@ -5,6 +5,7 @@
 use crate::collectives::CollectiveSeq;
 use crate::comm::Communicator;
 use simtime::SimCtx;
+use std::collections::BTreeMap;
 
 /// Tag space reserved for shuffle traffic.
 pub(crate) const SHUFFLE_TAG_BASE: u64 = 1 << 47;
@@ -41,7 +42,7 @@ pub fn bucket_owner(bucket: u64, ranks: usize) -> usize {
 /// between minutes and seconds of engine time at 1000 ranks. Results are
 /// deterministic regardless: received batches are re-sorted by source
 /// rank before grouping.
-pub fn shuffle<T: Send + 'static>(
+pub async fn shuffle<T: Send + 'static>(
     comm: &Communicator,
     seq: &CollectiveSeq,
     ctx: &SimCtx,
@@ -53,37 +54,35 @@ pub fn shuffle<T: Send + 'static>(
     // collectives and shuffles in the same (SPMD) order.
     let op = seq.next();
 
-    // Partition items by destination.
-    let mut outgoing: Vec<Vec<ShuffleItem<T>>> = (0..n).map(|_| Vec::new()).collect();
+    // Partition items by destination. Sparse on purpose: a rank messages
+    // only a few of the n ranks, and every rank shuffles at once, so a
+    // dense per-destination table would hold O(n²) slots cluster-wide.
+    let mut outgoing: BTreeMap<usize, Vec<ShuffleItem<T>>> = BTreeMap::new();
     for item in items {
-        let dst = bucket_owner(item.bucket, n);
-        outgoing[dst].push(item);
+        outgoing
+            .entry(bucket_owner(item.bucket, n))
+            .or_default()
+            .push(item);
     }
+    let mine = outgoing.remove(&me).unwrap_or_default();
 
-    // Metadata exchange: each rank contributes a 0/1 vector of which
-    // destinations it will actually message; the element-wise sum tells
-    // every rank its incoming batch count. One u64 per rank on the wire —
-    // the size-exchange phase real shuffles piggyback on their control
-    // plane.
-    let senders: Vec<u64> = (0..n)
-        .map(|dst| u64::from(dst != me && !outgoing[dst].is_empty()))
-        .collect();
+    // Metadata exchange: each rank flags the destinations it will
+    // actually message; the element-wise sum tells every rank its
+    // incoming batch count. One u64 per rank on the wire — the
+    // size-exchange phase real shuffles piggyback on their control plane.
+    let senders: Vec<(usize, u64)> = outgoing.keys().map(|&dst| (dst, 1)).collect();
     let incoming = comm
         .collectives(seq)
-        .reduce_scatter(ctx, 8, senders, |a, b| a + b);
+        .reduce_scatter(ctx, 8, senders, |a, b| a + b)
+        .await;
 
-    let mut mine: Vec<ShuffleItem<T>> = Vec::new();
-
-    // Send only non-empty batches (deterministic order), keep own locally.
-    for offset in 0..n {
-        let dst = (me + offset) % n;
-        let batch = std::mem::take(&mut outgoing[dst]);
-        if dst == me {
-            mine.extend(batch);
-        } else if !batch.is_empty() {
-            let bytes: u64 = batch.iter().map(|i| i.bytes).sum();
-            comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch);
-        }
+    // Send only non-empty batches, in rank order starting after this
+    // rank (deterministic).
+    let (after, before): (Vec<_>, Vec<_>) = outgoing.into_iter().partition(|(dst, _)| *dst > me);
+    for (dst, batch) in after.into_iter().chain(before) {
+        let bytes: u64 = batch.iter().map(|i| i.bytes).sum();
+        comm.send(ctx, dst, SHUFFLE_TAG_BASE | op, bytes, batch)
+            .await;
     }
 
     // Receive exactly the announced number of batches, from whichever
@@ -91,7 +90,9 @@ pub fn shuffle<T: Send + 'static>(
     let mut received: Vec<(usize, Vec<ShuffleItem<T>>)> = Vec::with_capacity(incoming as usize + 1);
     received.push((me, mine));
     for _ in 0..incoming {
-        let (src, batch) = comm.recv_any::<Vec<ShuffleItem<T>>>(ctx, SHUFFLE_TAG_BASE | op);
+        let (src, batch) = comm
+            .recv_any::<Vec<ShuffleItem<T>>>(ctx, SHUFFLE_TAG_BASE | op)
+            .await;
         received.push((src, batch));
     }
     received.sort_by_key(|(src, _)| *src);
@@ -124,9 +125,9 @@ mod tests {
             let comm = net.communicator(rank);
             let results = results.clone();
             let make_items = make_items.clone();
-            sim.spawn(&format!("rank{rank}"), move |ctx| {
+            sim.spawn(&format!("rank{rank}"), move |ctx| async move {
                 let seq = CollectiveSeq::new();
-                let out = shuffle(&comm, &seq, ctx, make_items(rank));
+                let out = shuffle(&comm, &seq, &ctx, make_items(rank)).await;
                 results.lock()[rank] = out;
             });
         }

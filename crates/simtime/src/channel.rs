@@ -1,7 +1,7 @@
 //! Simulation-aware message channels: unbounded, multi-producer
-//! multi-consumer, with optional delivery delay. Blocking `recv` integrates
-//! with the virtual clock, making channels the building block for task
-//! queues, request/reply protocols, and the network layer.
+//! multi-consumer, with optional delivery delay. `recv` is awaitable and
+//! integrates with the virtual clock, making channels the building block
+//! for task queues, request/reply protocols, and the network layer.
 
 use crate::engine::SimCtx;
 use crate::kernel::{BlockReason, Pid};
@@ -46,7 +46,7 @@ impl<T> RecvOutcome<T> {
 ///
 /// `send` is non-blocking and delivers at the current virtual time;
 /// `send_delayed` delivers after a virtual delay (used to model link
-/// latency). `recv` blocks the calling process until a message or close.
+/// latency). `recv` parks the calling process until a message or close.
 pub struct Channel<T> {
     name: Arc<str>,
     inner: Arc<Mutex<ChanInner<T>>>,
@@ -128,9 +128,9 @@ impl<T: Send + 'static> Channel<T> {
         });
     }
 
-    /// Blocks until a message is available; returns `None` once the channel
+    /// Waits until a message is available; returns `None` once the channel
     /// is closed *and* drained.
-    pub fn recv(&self, ctx: &SimCtx) -> Option<T> {
+    pub async fn recv(&self, ctx: &SimCtx) -> Option<T> {
         loop {
             {
                 let mut g = self.inner.lock();
@@ -149,18 +149,18 @@ impl<T: Send + 'static> Channel<T> {
                 let label = ks.intern(&self.name);
                 ks.procs[pid].block_reason = BlockReason::Recv(label);
             });
-            ctx.yield_to_engine();
+            ctx.park().await;
         }
     }
 
-    /// Blocks until a message, close, or the absolute virtual-time
+    /// Waits until a message, close, or the absolute virtual-time
     /// `deadline`, whichever comes first.
     ///
     /// The timeout is implemented as a kernel action keyed by a per-wait
     /// ticket: if the receiver was already woken by a delivery (or close)
     /// the ticket is gone and the action is a no-op, so no stale wake can
     /// reach a process that has moved on.
-    pub fn recv_deadline(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
+    pub async fn recv_deadline(&self, ctx: &SimCtx, deadline: SimTime) -> RecvOutcome<T> {
         loop {
             let now = ctx.now();
             {
@@ -204,7 +204,7 @@ impl<T: Send + 'static> Channel<T> {
                 let label = ks.intern(&self.name);
                 ks.procs[pid].block_reason = BlockReason::RecvDeadline(label, deadline);
             });
-            ctx.yield_to_engine();
+            ctx.park().await;
         }
     }
 
@@ -242,14 +242,14 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u32> = Channel::new("c");
         let tx = ch.clone();
-        sim.spawn("sender", move |ctx| {
-            tx.send(ctx, 7);
+        sim.spawn("sender", move |ctx| async move {
+            tx.send(&ctx, 7);
         });
         let rx = ch.clone();
         let got = Arc::new(Mutex::new(None));
         let got2 = got.clone();
-        sim.spawn("receiver", move |ctx| {
-            *got2.lock() = rx.recv(ctx);
+        sim.spawn("receiver", move |ctx| async move {
+            *got2.lock() = rx.recv(&ctx).await;
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         sim.run().unwrap();
@@ -261,13 +261,13 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<&'static str> = Channel::new("c");
         let tx = ch.clone();
-        sim.spawn("sender", move |ctx| {
-            ctx.hold(SimTime::from_secs(3));
-            tx.send(ctx, "late");
+        sim.spawn("sender", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(3)).await;
+            tx.send(&ctx, "late");
         });
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            assert_eq!(rx.recv(ctx), Some("late"));
+        sim.spawn("receiver", move |ctx| async move {
+            assert_eq!(rx.recv(&ctx).await, Some("late"));
             assert_eq!(ctx.now(), SimTime::from_secs(3));
         });
         sim.run().unwrap();
@@ -278,14 +278,14 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("link");
         let tx = ch.clone();
-        sim.spawn("sender", move |ctx| {
-            tx.send_delayed(ctx, 1, SimTime::from_millis(10.0));
+        sim.spawn("sender", move |ctx| async move {
+            tx.send_delayed(&ctx, 1, SimTime::from_millis(10.0));
             // Sender continues immediately.
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            assert_eq!(rx.recv(ctx), Some(1));
+        sim.spawn("receiver", move |ctx| async move {
+            assert_eq!(rx.recv(&ctx).await, Some(1));
             assert_eq!(ctx.now(), SimTime::from_millis(10.0));
         });
         sim.run().unwrap();
@@ -296,13 +296,13 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            assert_eq!(rx.recv(ctx), None);
+        sim.spawn("receiver", move |ctx| async move {
+            assert_eq!(rx.recv(&ctx).await, None);
         });
         let cl = ch.clone();
-        sim.spawn("closer", move |ctx| {
-            ctx.hold(SimTime::from_secs(1));
-            cl.close(ctx);
+        sim.spawn("closer", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(1)).await;
+            cl.close(&ctx);
         });
         sim.run().unwrap();
     }
@@ -312,17 +312,17 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let tx = ch.clone();
-        sim.spawn("producer", move |ctx| {
-            tx.send(ctx, 1);
-            tx.send(ctx, 2);
-            tx.close(ctx);
+        sim.spawn("producer", move |ctx| async move {
+            tx.send(&ctx, 1);
+            tx.send(&ctx, 2);
+            tx.close(&ctx);
         });
         let rx = ch.clone();
-        sim.spawn("consumer", move |ctx| {
-            ctx.hold(SimTime::from_secs(1));
-            assert_eq!(rx.recv(ctx), Some(1));
-            assert_eq!(rx.recv(ctx), Some(2));
-            assert_eq!(rx.recv(ctx), None);
+        sim.spawn("consumer", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(1)).await;
+            assert_eq!(rx.recv(&ctx).await, Some(1));
+            assert_eq!(rx.recv(&ctx).await, Some(2));
+            assert_eq!(rx.recv(&ctx).await, None);
         });
         sim.run().unwrap();
     }
@@ -332,8 +332,8 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            let out = rx.recv_deadline(ctx, SimTime::from_secs(5));
+        sim.spawn("receiver", move |ctx| async move {
+            let out = rx.recv_deadline(&ctx, SimTime::from_secs(5)).await;
             assert_eq!(out, RecvOutcome::TimedOut);
             assert_eq!(ctx.now(), SimTime::from_secs(5));
         });
@@ -347,18 +347,18 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let tx = ch.clone();
-        sim.spawn("sender", move |ctx| {
-            ctx.hold(SimTime::from_secs(2));
-            tx.send(ctx, 9);
+        sim.spawn("sender", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(2)).await;
+            tx.send(&ctx, 9);
         });
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            let out = rx.recv_deadline(ctx, SimTime::from_secs(5));
+        sim.spawn("receiver", move |ctx| async move {
+            let out = rx.recv_deadline(&ctx, SimTime::from_secs(5)).await;
             assert_eq!(out, RecvOutcome::Msg(9));
             assert_eq!(ctx.now(), SimTime::from_secs(2));
             // The expired timeout action for the satisfied wait must not
             // wake or disturb this process later on.
-            ctx.hold(SimTime::from_secs(10));
+            ctx.hold(SimTime::from_secs(10)).await;
         });
         sim.run().unwrap();
     }
@@ -368,13 +368,13 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let cl = ch.clone();
-        sim.spawn("closer", move |ctx| {
-            ctx.hold(SimTime::from_secs(1));
-            cl.close(ctx);
+        sim.spawn("closer", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(1)).await;
+            cl.close(&ctx);
         });
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            let out = rx.recv_deadline(ctx, SimTime::from_secs(5));
+        sim.spawn("receiver", move |ctx| async move {
+            let out = rx.recv_deadline(&ctx, SimTime::from_secs(5)).await;
             assert_eq!(out, RecvOutcome::Closed);
             assert_eq!(ctx.now(), SimTime::from_secs(1));
         });
@@ -388,15 +388,24 @@ mod tests {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("c");
         let tx = ch.clone();
-        sim.spawn("sender", move |ctx| {
-            ctx.hold(SimTime::from_secs(7));
-            tx.send(ctx, 3);
+        sim.spawn("sender", move |ctx| async move {
+            ctx.hold(SimTime::from_secs(7)).await;
+            tx.send(&ctx, 3);
         });
         let rx = ch.clone();
-        sim.spawn("receiver", move |ctx| {
-            assert_eq!(rx.recv_deadline(ctx, SimTime::from_secs(2)), RecvOutcome::TimedOut);
-            assert_eq!(rx.recv_deadline(ctx, SimTime::from_secs(4)), RecvOutcome::TimedOut);
-            assert_eq!(rx.recv_deadline(ctx, SimTime::from_secs(9)), RecvOutcome::Msg(3));
+        sim.spawn("receiver", move |ctx| async move {
+            assert_eq!(
+                rx.recv_deadline(&ctx, SimTime::from_secs(2)).await,
+                RecvOutcome::TimedOut
+            );
+            assert_eq!(
+                rx.recv_deadline(&ctx, SimTime::from_secs(4)).await,
+                RecvOutcome::TimedOut
+            );
+            assert_eq!(
+                rx.recv_deadline(&ctx, SimTime::from_secs(9)).await,
+                RecvOutcome::Msg(3)
+            );
             assert_eq!(ctx.now(), SimTime::from_secs(7));
         });
         sim.run().unwrap();
@@ -410,19 +419,19 @@ mod tests {
         for w in 0..2 {
             let rx = ch.clone();
             let done = done.clone();
-            sim.spawn(&format!("worker{w}"), move |ctx| {
-                while let Some(task) = rx.recv(ctx) {
-                    ctx.hold(SimTime::from_secs(1));
+            sim.spawn(&format!("worker{w}"), move |ctx| async move {
+                while let Some(task) = rx.recv(&ctx).await {
+                    ctx.hold(SimTime::from_secs(1)).await;
                     done.lock().push((w, task));
                 }
             });
         }
         let tx = ch.clone();
-        sim.spawn("producer", move |ctx| {
+        sim.spawn("producer", move |ctx| async move {
             for t in 0..4 {
-                tx.send(ctx, t);
+                tx.send(&ctx, t);
             }
-            tx.close(ctx);
+            tx.close(&ctx);
         });
         let report = sim.run().unwrap();
         // Two workers, four 1-second tasks: finishes at t=2, not t=4.

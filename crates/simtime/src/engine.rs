@@ -1,21 +1,26 @@
 //! The public simulation engine: spawning processes, running the event loop,
 //! and the in-process context handle ([`SimCtx`]).
+//!
+//! Processes are `async` tasks. The executor is the event loop itself: a
+//! `Wake(pid)` event polls that process's future once, on the thread that
+//! called [`Sim::run`], with a no-op waker. A task only ever parks inside
+//! one of simtime's leaf futures ([`SimCtx::hold`], [`SimCtx::join`],
+//! [`crate::Channel::recv`], [`crate::Resource::acquire`], ...), each of
+//! which has already arranged its own wake event before returning
+//! `Pending`. Awaiting any other future that can return `Pending` parks
+//! the task with no wake arranged.
 
-use crate::gate::Gate;
-use crate::kernel::{BlockReason, EventPayload, KState, Kernel, Pid, ProcEntry, ProcState};
+use crate::kernel::{BlockReason, EventPayload, KState, Pid, ProcEntry, ProcState, Task};
 use crate::time::SimTime;
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
-/// Payload used to unwind parked process threads when the simulation ends.
-struct Shutdown;
-
-/// Stack size for simulation process threads. Processes are shallow
-/// (closure + a few library frames), and 1000-node runs spawn thousands of
-/// them, so the default 8 MiB OS stacks are traded for 1 MiB.
-const PROC_STACK_BYTES: usize = 1 << 20;
+/// Kernel state shared by the executor and every [`SimCtx`].
+type Kernel = Rc<RefCell<KState>>;
 
 /// Why a simulation run failed.
 #[derive(Debug)]
@@ -90,31 +95,27 @@ impl ProcHandle {
     }
 }
 
-/// Registry of OS threads backing simulation processes, joined on shutdown.
-type ThreadRegistry = Arc<Mutex<Vec<JoinHandle<()>>>>;
-
 /// A deterministic process-oriented discrete-event simulation.
 ///
-/// Processes are plain closures written in blocking style; they advance
-/// virtual time with [`SimCtx::hold`] and synchronize through
-/// [`crate::Resource`] and [`crate::Channel`]. Exactly one process (or the
-/// engine) executes at any real-time instant, so runs are deterministic:
-/// events at equal virtual times fire in scheduling order.
+/// Processes are `async` tasks; they advance virtual time with
+/// [`SimCtx::hold`] and synchronize through [`crate::Resource`] and
+/// [`crate::Channel`]. All of them run on the thread that calls
+/// [`Sim::run`], one poll at a time, so runs are deterministic: events at
+/// equal virtual times fire in scheduling order.
 ///
 /// ```
 /// use simtime::{Sim, SimTime};
 ///
 /// let mut sim = Sim::new();
-/// sim.spawn("worker", |ctx| {
-///     ctx.hold(SimTime::from_secs(2));
+/// sim.spawn("worker", |ctx| async move {
+///     ctx.hold(SimTime::from_secs(2)).await;
 ///     assert_eq!(ctx.now(), SimTime::from_secs(2));
 /// });
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time, SimTime::from_secs(2));
 /// ```
 pub struct Sim {
-    kernel: Arc<Kernel>,
-    threads: ThreadRegistry,
+    kernel: Kernel,
 }
 
 impl Default for Sim {
@@ -127,36 +128,39 @@ impl Sim {
     /// Creates an empty simulation at t = 0.
     pub fn new() -> Self {
         Sim {
-            kernel: Kernel::new(),
-            threads: Arc::new(Mutex::new(Vec::new())),
+            kernel: Rc::new(RefCell::new(KState::new())),
         }
     }
 
     /// Aborts the run with [`SimError::EventLimitExceeded`] after `limit`
     /// events; useful to bound property tests.
     pub fn set_event_limit(&self, limit: u64) {
-        self.kernel.state.lock().event_limit = Some(limit);
+        self.kernel.borrow_mut().event_limit = Some(limit);
     }
 
     /// Spawns a root process that will begin executing at the current
-    /// virtual time once [`Sim::run`] is called.
-    pub fn spawn<F>(&mut self, name: &str, f: F) -> ProcHandle
+    /// virtual time once [`Sim::run`] is called. `f` receives the
+    /// process's own [`SimCtx`] and returns its body, typically
+    /// `|ctx| async move { ... }`; it is called when the process first
+    /// runs, not at spawn time.
+    pub fn spawn<F, Fut>(&mut self, name: &str, f: F) -> ProcHandle
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(SimCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, name, f)
+        spawn_process(&self.kernel, name, f)
     }
 
     /// Schedules a lightweight timer `after` the current virtual time.
     ///
-    /// Timers run on the engine thread with no process handoff — no OS
-    /// thread, no context switches — so million-timer workloads pay only
-    /// queue cost. The callback may reschedule via [`Timers::schedule`].
+    /// Timers run inside the event loop with no process at all, so
+    /// million-timer workloads pay only queue cost. The callback may
+    /// reschedule via [`Timers::schedule`].
     pub fn schedule<F>(&self, after: SimTime, f: F)
     where
         F: FnOnce(&mut Timers) + Send + 'static,
     {
-        let mut ks = self.kernel.state.lock();
+        let mut ks = self.kernel.borrow_mut();
         let at = ks.now + after;
         ks.schedule_action(at, move |ks| {
             let mut t = Timers { ks };
@@ -165,64 +169,37 @@ impl Sim {
     }
 
     /// Runs the event loop to completion and returns a report, or the first
-    /// error (deadlock, panic, event-limit).
+    /// error (deadlock, panic, event-limit). Tasks left unfinished by an
+    /// error are dropped before this returns, so their destructors run.
     pub fn run(self) -> Result<SimReport, SimError> {
-        let result = self.event_loop();
-        self.shutdown();
-        result
-    }
-
-    fn event_loop(&self) -> Result<SimReport, SimError> {
         loop {
-            let next = {
-                let mut ks = self.kernel.state.lock();
-                if let Some((process, message)) = ks.panic_info.take() {
-                    return Err(SimError::ProcessPanicked { process, message });
-                }
+            let payload = {
+                let mut ks = self.kernel.borrow_mut();
                 if let Some(limit) = ks.event_limit {
                     if ks.events_processed > limit {
                         return Err(SimError::EventLimitExceeded { limit });
                     }
                 }
                 match ks.pop_event() {
-                    Some((_, payload)) => Some(payload),
+                    Some((_, payload)) => payload,
+                    None if ks.live == 0 => {
+                        return Ok(SimReport {
+                            end_time: ks.now,
+                            events_processed: ks.events_processed,
+                        })
+                    }
                     None => {
-                        if ks.live == 0 {
-                            return Ok(SimReport {
-                                end_time: ks.now,
-                                events_processed: ks.events_processed,
-                            });
-                        }
-                        None
+                        return Err(SimError::Deadlock {
+                            now: ks.now,
+                            blocked: ks.blocked_summary(),
+                        })
                     }
                 }
             };
-
-            let Some(payload) = next else {
-                let ks = self.kernel.state.lock();
-                return Err(SimError::Deadlock {
-                    now: ks.now,
-                    blocked: ks.blocked_summary(),
-                });
-            };
-
             match payload {
-                EventPayload::Wake(pid) => {
-                    let gate = {
-                        let mut ks = self.kernel.state.lock();
-                        let entry = &mut ks.procs[pid];
-                        if entry.state == ProcState::Finished {
-                            continue;
-                        }
-                        debug_assert_eq!(entry.state, ProcState::Blocked);
-                        entry.state = ProcState::Running;
-                        entry.gate.clone()
-                    };
-                    gate.open();
-                    self.kernel.engine_gate.wait();
-                }
+                EventPayload::Wake(pid) => self.poll_process(pid)?,
                 EventPayload::Action(slot) => {
-                    let mut ks = self.kernel.state.lock();
+                    let mut ks = self.kernel.borrow_mut();
                     let f = ks.take_action(slot);
                     f(&mut ks);
                 }
@@ -230,32 +207,72 @@ impl Sim {
         }
     }
 
-    /// Unwinds every still-parked process thread and joins all threads so no
-    /// OS threads leak past `run`.
-    fn shutdown(&self) {
-        let gates: Vec<Arc<Gate>> = {
-            let mut ks = self.kernel.state.lock();
-            ks.shutdown = true;
-            ks.procs
-                .iter()
-                .filter(|p| p.state != ProcState::Finished)
-                .map(|p| p.gate.clone())
-                .collect()
+    /// Polls `pid`'s task once. The task is out of the process table for
+    /// the length of the poll, so it can spawn and reach the kernel freely.
+    /// A panic in the task ends the run with [`SimError::ProcessPanicked`].
+    fn poll_process(&self, pid: Pid) -> Result<(), SimError> {
+        let mut task = {
+            let mut ks = self.kernel.borrow_mut();
+            let entry = &mut ks.procs[pid];
+            if entry.state == ProcState::Finished {
+                return Ok(());
+            }
+            debug_assert_eq!(entry.state, ProcState::Blocked);
+            entry.state = ProcState::Running;
+            entry.task.take().expect("a blocked process owns its task")
         };
-        for g in gates {
-            g.open();
+        let mut cx = Context::from_waker(Waker::noop());
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
+        let panic_msg = match polled {
+            Ok(Poll::Pending) => {
+                let mut ks = self.kernel.borrow_mut();
+                let entry = &mut ks.procs[pid];
+                entry.state = ProcState::Blocked;
+                entry.task = Some(task);
+                return Ok(());
+            }
+            Ok(Poll::Ready(())) => None,
+            Err(payload) => Some(panic_message(payload.as_ref())),
+        };
+        drop(task);
+        let mut ks = self.kernel.borrow_mut();
+        let now = ks.now;
+        let entry = &mut ks.procs[pid];
+        entry.state = ProcState::Finished;
+        let waiters = std::mem::take(&mut entry.join_waiters);
+        ks.live -= 1;
+        for w in waiters {
+            ks.schedule_wake(now, w);
         }
-        // New threads can no longer be registered: every live process is
-        // unwinding, and unwinding processes cannot spawn.
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
-        for t in handles {
-            let _ = t.join();
+        match panic_msg {
+            Some(message) => Err(SimError::ProcessPanicked {
+                process: ks.procs[pid].name.clone(),
+                message,
+            }),
+            None => Ok(()),
         }
     }
 }
 
+impl Drop for Sim {
+    /// Drops every task still parked (after an error, or when the
+    /// simulation never ran). Tasks hold `SimCtx` clones that point back
+    /// at the kernel, so this also breaks that reference cycle. The tasks
+    /// are moved out first: their destructors may read the kernel.
+    fn drop(&mut self) {
+        let tasks: Vec<Task> = self
+            .kernel
+            .borrow_mut()
+            .procs
+            .iter_mut()
+            .filter_map(|p| p.task.take())
+            .collect();
+        drop(tasks);
+    }
+}
+
 /// Handle passed to [`Sim::schedule`] timer callbacks: read the clock and
-/// chain further timers, all from the engine thread.
+/// chain further timers, all from the event loop.
 pub struct Timers<'a> {
     ks: &'a mut KState,
 }
@@ -279,61 +296,29 @@ impl Timers<'_> {
     }
 }
 
-fn spawn_process<F>(kernel: &Arc<Kernel>, threads: &ThreadRegistry, name: &str, f: F) -> ProcHandle
+fn spawn_process<F, Fut>(kernel: &Kernel, name: &str, f: F) -> ProcHandle
 where
-    F: FnOnce(&SimCtx) + Send + 'static,
+    F: FnOnce(SimCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let gate = Arc::new(Gate::new());
-    let pid = {
-        let mut ks = kernel.state.lock();
-        let pid = ks.procs.len();
-        let label = ks.intern(name);
-        ks.procs.push(ProcEntry {
-            name: name.to_string(),
-            label,
-            gate: gate.clone(),
-            state: ProcState::Blocked,
-            block_reason: BlockReason::NotStarted,
-            join_waiters: Vec::new(),
-        });
-        ks.live += 1;
-        let now = ks.now;
-        ks.schedule_wake(now, pid);
-        pid
-    };
-
+    let mut ks = kernel.borrow_mut();
+    let pid = ks.procs.len();
     let ctx = SimCtx {
         kernel: kernel.clone(),
-        threads: threads.clone(),
         pid,
-        gate: gate.clone(),
     };
-    let kernel2 = kernel.clone();
-    let thread = std::thread::Builder::new()
-        .name(format!("sim:{name}"))
-        .stack_size(PROC_STACK_BYTES)
-        .spawn(move || {
-            ctx.gate.wait();
-            if ctx.kernel.state.lock().shutdown {
-                finishing(&kernel2, pid, None, true);
-                return;
-            }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            match result {
-                Ok(()) => finishing(&kernel2, pid, None, false),
-                Err(payload) => {
-                    if payload.is::<Shutdown>() {
-                        finishing(&kernel2, pid, None, true);
-                    } else {
-                        let msg = panic_message(payload.as_ref());
-                        finishing(&kernel2, pid, Some(msg), false);
-                    }
-                }
-            }
-        })
-        .expect("failed to spawn simulation process thread");
-    threads.lock().push(thread);
-
+    let label = ks.intern(name);
+    ks.procs.push(ProcEntry {
+        name: name.to_string(),
+        label,
+        task: Some(Box::pin(async move { f(ctx).await })),
+        state: ProcState::Blocked,
+        block_reason: BlockReason::NotStarted,
+        join_waiters: Vec::new(),
+    });
+    ks.live += 1;
+    let now = ks.now;
+    ks.schedule_wake(now, pid);
     ProcHandle {
         pid,
         name: name.to_string(),
@@ -350,82 +335,64 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Marks `pid` finished, wakes joiners, and returns control to the engine.
-fn finishing(kernel: &Arc<Kernel>, pid: Pid, panic_msg: Option<String>, shutting_down: bool) {
-    {
-        let mut ks = kernel.state.lock();
-        let now = ks.now;
-        let entry = &mut ks.procs[pid];
-        entry.state = ProcState::Finished;
-        let waiters = std::mem::take(&mut entry.join_waiters);
-        ks.live -= 1;
-        if !shutting_down {
-            for w in waiters {
-                ks.schedule_wake(now, w);
-            }
-            if let Some(msg) = panic_msg {
-                let name = ks.procs[pid].name.clone();
-                ks.panic_info = Some((name, msg));
-            }
-        }
-    }
-    kernel.engine_gate.open();
-}
-
-/// The in-process handle: every process closure receives `&SimCtx` and uses
-/// it for all interaction with virtual time and the scheduler.
+/// A process's handle on the simulation: every process body receives its
+/// own `SimCtx` and uses it for all interaction with virtual time and the
+/// scheduler. Cloning is cheap (a reference count); clones name the same
+/// process.
+#[derive(Clone)]
 pub struct SimCtx {
-    kernel: Arc<Kernel>,
-    threads: ThreadRegistry,
+    kernel: Kernel,
     pid: Pid,
-    gate: Arc<Gate>,
 }
 
 impl SimCtx {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.kernel.state.lock().now
+        self.kernel.borrow().now
     }
 
     /// Advances this process's virtual time by `dt`, letting other events
     /// fire in between.
-    pub fn hold(&self, dt: SimTime) {
-        {
-            let mut ks = self.kernel.state.lock();
+    pub async fn hold(&self, dt: SimTime) {
+        self.with_kernel(|ks| {
             let at = ks.now + dt;
             ks.schedule_wake(at, self.pid);
             ks.procs[self.pid].block_reason = BlockReason::HoldUntil(at);
-        }
-        self.yield_to_engine();
+        });
+        self.park().await
     }
 
-    /// Spawns a child process starting at the current virtual time.
-    pub fn spawn<F>(&self, name: &str, f: F) -> ProcHandle
+    /// Spawns a child process starting at the current virtual time; see
+    /// [`Sim::spawn`].
+    pub fn spawn<F, Fut>(&self, name: &str, f: F) -> ProcHandle
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(SimCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        spawn_process(&self.kernel, &self.threads, name, f)
+        spawn_process(&self.kernel, name, f)
     }
 
-    /// Blocks until the process behind `handle` finishes. Returns
+    /// Waits until the process behind `handle` finishes. Returns
     /// immediately if it already has.
-    pub fn join(&self, handle: &ProcHandle) {
-        {
-            let mut ks = self.kernel.state.lock();
+    pub async fn join(&self, handle: &ProcHandle) {
+        let finished = self.with_kernel(|ks| {
             if ks.procs[handle.pid].state == ProcState::Finished {
-                return;
+                return true;
             }
             ks.procs[handle.pid].join_waiters.push(self.pid);
             let target = ks.procs[handle.pid].label;
             ks.procs[self.pid].block_reason = BlockReason::Join(target);
+            false
+        });
+        if !finished {
+            self.park().await
         }
-        self.yield_to_engine();
     }
 
     /// Joins every handle in `handles`, in order.
-    pub fn join_all(&self, handles: &[ProcHandle]) {
+    pub async fn join_all(&self, handles: &[ProcHandle]) {
         for h in handles {
-            self.join(h);
+            self.join(h).await;
         }
     }
 
@@ -434,19 +401,187 @@ impl SimCtx {
     }
 
     pub(crate) fn with_kernel<R>(&self, f: impl FnOnce(&mut KState) -> R) -> R {
-        let mut ks = self.kernel.state.lock();
-        f(&mut ks)
+        f(&mut self.kernel.borrow_mut())
     }
 
-    /// Parks this process and hands control back to the engine. The caller
-    /// must already have arranged for a future wake (a scheduled event, a
-    /// resource grant, a channel delivery, or a join notification).
-    pub(crate) fn yield_to_engine(&self) {
-        self.kernel.state.lock().procs[self.pid].state = ProcState::Blocked;
-        self.kernel.engine_gate.open();
-        self.gate.wait();
-        if self.kernel.state.lock().shutdown {
-            panic::panic_any(Shutdown);
+    /// Parks this process until its next wake event. The caller must
+    /// already have arranged that wake (a scheduled event, a resource
+    /// grant, a channel delivery, or a join notification).
+    pub(crate) fn park(&self) -> Park {
+        Park { parked: false }
+    }
+}
+
+/// The one suspension point every leaf future shares: `Pending` on the
+/// first poll, `Ready` on the next — which only the wake event the caller
+/// arranged can deliver.
+pub(crate) struct Park {
+    parked: bool,
+}
+
+impl Future for Park {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+        if self.parked {
+            Poll::Ready(())
+        } else {
+            self.parked = true;
+            Poll::Pending
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Channel, Resource};
+    use std::cell::Cell;
+
+    /// Counts its own drops, so a test can tell which task states were
+    /// destroyed.
+    struct DropCounter(Rc<Cell<usize>>);
+
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn panic_after_hold_reports_the_original_message() {
+        let mut sim = Sim::new();
+        sim.spawn("bad", |ctx| async move {
+            ctx.hold(SimTime::from_secs(1)).await;
+            panic!("boom after hold");
+        });
+        match sim.run() {
+            Err(SimError::ProcessPanicked { process, message }) => {
+                assert_eq!(process, "bad");
+                assert_eq!(message, "boom after hold");
+            }
+            other => panic!("expected a panic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deadlock_lists_every_parked_process_with_its_block_reason() {
+        let mut sim = Sim::new();
+        let never: Channel<u8> = Channel::new("never");
+        let gpu = Resource::new("gpu", 1);
+        let rx = never.clone();
+        let stuck = sim.spawn("stuck", move |ctx| async move {
+            rx.recv(&ctx).await;
+        });
+        let held = gpu.clone();
+        sim.spawn("owner", move |ctx| async move {
+            held.acquire(&ctx, 1).await;
+            never.recv(&ctx).await;
+        });
+        sim.spawn("waiter", move |ctx| async move {
+            gpu.acquire(&ctx, 1).await;
+        });
+        sim.spawn("joiner", move |ctx| async move {
+            ctx.join(&stuck).await;
+        });
+        match sim.run() {
+            Err(SimError::Deadlock { now, blocked }) => {
+                assert_eq!(now, SimTime::ZERO);
+                let reasons: Vec<(&str, &str)> = blocked
+                    .iter()
+                    .map(|(p, r)| (p.as_str(), r.as_str()))
+                    .collect();
+                assert_eq!(
+                    reasons,
+                    vec![
+                        ("stuck", "recv on 'never'"),
+                        ("owner", "recv on 'never'"),
+                        ("waiter", "acquire 1 of 'gpu'"),
+                        ("joiner", "join 'stuck'"),
+                    ]
+                );
+            }
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tasks_parked_at_deadlock_are_dropped() {
+        let drops = Rc::new(Cell::new(0));
+        let mut sim = Sim::new();
+        let never: Channel<u8> = Channel::new("never");
+        for i in 0..3 {
+            let guard = DropCounter(drops.clone());
+            let rx = never.clone();
+            sim.spawn(&format!("p{i}"), move |ctx| async move {
+                let _guard = guard;
+                ctx.hold(SimTime::from_secs(i)).await;
+                rx.recv(&ctx).await;
+            });
+        }
+        assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+        assert_eq!(drops.get(), 3, "every parked task's state must be dropped");
+    }
+
+    #[test]
+    fn tasks_parked_when_another_panics_are_dropped() {
+        let drops = Rc::new(Cell::new(0));
+        let mut sim = Sim::new();
+        let guard = DropCounter(drops.clone());
+        sim.spawn("sleeper", move |ctx| async move {
+            let _guard = guard;
+            ctx.hold(SimTime::from_secs(10)).await;
+        });
+        let guard = DropCounter(drops.clone());
+        sim.spawn("bad", move |ctx| async move {
+            let _guard = guard;
+            ctx.hold(SimTime::from_secs(1)).await;
+            panic!("boom");
+        });
+        assert!(matches!(sim.run(), Err(SimError::ProcessPanicked { .. })));
+        assert_eq!(
+            drops.get(),
+            2,
+            "the panicked and the parked task are both dropped"
+        );
+    }
+
+    #[test]
+    fn unrun_sim_drops_its_tasks() {
+        let drops = Rc::new(Cell::new(0));
+        let mut sim = Sim::new();
+        let guard = DropCounter(drops.clone());
+        sim.spawn("idle", move |_| async move {
+            let _guard = guard;
+        });
+        drop(sim);
+        assert_eq!(drops.get(), 1);
+    }
+
+    #[test]
+    fn twenty_thousand_processes_run_on_the_calling_thread() {
+        const PROCS: u64 = 20_000;
+        let caller = std::thread::current().id();
+        let off_thread = Rc::new(Cell::new(0u64));
+        let mut sim = Sim::new();
+        for p in 0..PROCS {
+            let off_thread = off_thread.clone();
+            sim.spawn(&format!("p{p}"), move |ctx| async move {
+                for round in 1..=2 {
+                    ctx.hold(SimTime::from_nanos((p % 97 + round) as f64)).await;
+                    if std::thread::current().id() != caller {
+                        off_thread.set(off_thread.get() + 1);
+                    }
+                }
+            });
+        }
+        let report = sim.run().unwrap();
+        // One start wake plus two hold wakes per process.
+        assert_eq!(report.events_processed, 3 * PROCS);
+        assert_eq!(
+            off_thread.get(),
+            0,
+            "every poll runs on the thread that called run"
+        );
     }
 }

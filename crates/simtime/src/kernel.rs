@@ -1,6 +1,10 @@
 //! Engine internals: the event queue, the process table, and the shared
 //! kernel state that processes and synchronization primitives manipulate.
 //!
+//! Every process is a pinned, boxed future stored in its [`ProcEntry`];
+//! the executor in `engine.rs` polls it once per wake event, on the
+//! thread that called `Sim::run`.
+//!
 //! Events live in one [`CalendarQueue`] and pop in ascending `(time, seq)`
 //! order, where `seq` is the kernel's scheduling counter; that order is the
 //! engine's determinism contract. The kernel also owns two
@@ -9,11 +13,11 @@
 //! event, and a label interner so block reasons are integer handles rather
 //! than per-event `String`s.
 
-use crate::gate::Gate;
 use crate::queue::CalendarQueue;
 use crate::time::SimTime;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 /// Process identifier: an index into the process table.
@@ -27,7 +31,7 @@ pub(crate) type Label = u32;
 /// closures live in the arena, referenced by slot.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventPayload {
-    /// Transfer control to a blocked process.
+    /// Poll a blocked process's task once.
     Wake(Pid),
     /// Run the kernel action stored in the arena slot.
     Action(u32),
@@ -96,7 +100,7 @@ impl Interner {
 /// exact human-readable strings deadlock reports always used.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BlockReason {
-    /// Spawned but not yet given the token.
+    /// Spawned but not yet polled.
     NotStarted,
     /// In `hold` until the given instant.
     HoldUntil(SimTime),
@@ -129,19 +133,24 @@ impl BlockReason {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ProcState {
-    /// Parked on its gate, waiting for a wake event or a grant.
+    /// Parked, waiting for a wake event or a grant.
     Blocked,
-    /// Currently holding the execution token.
+    /// Its task is being polled.
     Running,
-    /// Body returned (or unwound); will never run again.
+    /// Body returned (or panicked); will never run again.
     Finished,
 }
+
+/// A process body: the future its spawn closure returned.
+pub(crate) type Task = Pin<Box<dyn Future<Output = ()>>>;
 
 pub(crate) struct ProcEntry {
     pub name: String,
     /// Interned copy of `name`, for join reasons.
     pub label: Label,
-    pub gate: Arc<Gate>,
+    /// The task, while parked. Taken out for the length of a poll (so the
+    /// task can reach the kernel) and dropped when it finishes.
+    pub task: Option<Task>,
     pub state: ProcState,
     /// Reason recorded before blocking, for deadlock reports.
     pub block_reason: BlockReason,
@@ -149,10 +158,9 @@ pub(crate) struct ProcEntry {
     pub join_waiters: Vec<Pid>,
 }
 
-/// Mutable kernel state, guarded by the kernel mutex. Because only one
-/// thread (the engine or a single process) ever runs at a time, the lock is
-/// uncontended; it exists to satisfy the type system and to make the
-/// handoff points explicit.
+/// Mutable kernel state, shared by the executor and every process through
+/// an `Rc<RefCell<..>>`: the whole simulation runs on one thread, and each
+/// borrow ends before a task yields.
 pub(crate) struct KState {
     pub now: SimTime,
     pub seq: u64,
@@ -163,8 +171,6 @@ pub(crate) struct KState {
     pub live: usize,
     pub events_processed: u64,
     pub event_limit: Option<u64>,
-    pub shutdown: bool,
-    pub panic_info: Option<(String, String)>,
 }
 
 impl KState {
@@ -179,8 +185,6 @@ impl KState {
             live: 0,
             events_processed: 0,
             event_limit: None,
-            shutdown: false,
-            panic_info: None,
         }
     }
 
@@ -238,21 +242,6 @@ impl KState {
     }
 }
 
-/// Shared kernel: state plus the engine's own handoff gate.
-pub(crate) struct Kernel {
-    pub state: Mutex<KState>,
-    pub engine_gate: Gate,
-}
-
-impl Kernel {
-    pub fn new() -> Arc<Kernel> {
-        Arc::new(Kernel {
-            state: Mutex::new(KState::new()),
-            engine_gate: Gate::new(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,7 +251,7 @@ mod tests {
         ProcEntry {
             name: name.into(),
             label,
-            gate: Arc::new(crate::gate::Gate::new()),
+            task: None,
             state: ProcState::Blocked,
             block_reason: BlockReason::NotStarted,
             join_waiters: vec![],

@@ -1,9 +1,9 @@
 //! # simtime — deterministic process-oriented discrete-event simulation
 //!
 //! The substrate every simulated component of `hetero-prs` runs on:
-//! a virtual clock, an event queue, and *processes* — plain closures written
-//! in blocking style, multiplexed one-at-a-time so that runs are fully
-//! deterministic (events at equal times fire in scheduling order).
+//! a virtual clock, an event queue, and *processes* — `async` tasks run
+//! one poll at a time by a single-threaded executor, so that runs are
+//! fully deterministic (events at equal times fire in scheduling order).
 //!
 //! Building blocks:
 //!
@@ -12,6 +12,13 @@
 //! - [`Resource`] — FIFO counted resource (GPU engines, cores, links).
 //! - [`Channel`] — MPMC message channel with optional delivery latency.
 //! - [`SimTime`] — virtual instants/durations in seconds.
+//!
+//! A process is spawned from a closure that receives its own [`SimCtx`]
+//! and returns a future. Waiting operations (`hold`, `join`, `recv`,
+//! `acquire`) are awaited; non-waiting ones (`send`, `release`, `close`)
+//! are plain calls. No OS thread is started for a process: the executor
+//! polls its task on the thread that calls [`Sim::run`] whenever the
+//! process's wake event fires.
 //!
 //! ```
 //! use simtime::{Channel, Resource, Sim, SimTime};
@@ -22,16 +29,16 @@
 //!
 //! let rx = jobs.clone();
 //! let pci2 = pci.clone();
-//! sim.spawn("gpu-daemon", move |ctx| {
-//!     while let Some(bytes) = rx.recv(ctx) {
-//!         pci2.with(ctx, 1, || { /* exclusive transfer */ });
-//!         ctx.hold(SimTime::from_secs_f64(bytes as f64 / 8e9));
+//! sim.spawn("gpu-daemon", move |ctx| async move {
+//!     while let Some(bytes) = rx.recv(&ctx).await {
+//!         pci2.with(&ctx, 1, || { /* exclusive transfer */ }).await;
+//!         ctx.hold(SimTime::from_secs_f64(bytes as f64 / 8e9)).await;
 //!     }
 //! });
 //! let tx = jobs.clone();
-//! sim.spawn("scheduler", move |ctx| {
-//!     tx.send(ctx, 16_000_000_000); // 16 GB over 8 GB/s => 2 s
-//!     tx.close(ctx);
+//! sim.spawn("scheduler", move |ctx| async move {
+//!     tx.send(&ctx, 16_000_000_000); // 16 GB over 8 GB/s => 2 s
+//!     tx.close(&ctx);
 //! });
 //! let report = sim.run().unwrap();
 //! assert_eq!(report.end_time, SimTime::from_secs(2));
@@ -41,7 +48,6 @@
 
 mod channel;
 mod engine;
-mod gate;
 mod kernel;
 pub mod queue;
 mod resource;
@@ -73,8 +79,8 @@ mod tests {
     #[test]
     fn hold_advances_only_virtual_time() {
         let mut sim = Sim::new();
-        sim.spawn("p", |ctx| {
-            ctx.hold(SimTime::from_secs(1_000_000));
+        sim.spawn("p", |ctx| async move {
+            ctx.hold(SimTime::from_secs(1_000_000)).await;
         });
         let report = sim.run().unwrap();
         assert_eq!(report.end_time, SimTime::from_secs(1_000_000));
@@ -86,8 +92,8 @@ mod tests {
         let mut sim = Sim::new();
         for (name, delay) in [("a", 2.0), ("b", 1.0), ("c", 3.0)] {
             let order = order.clone();
-            sim.spawn(name, move |ctx| {
-                ctx.hold(SimTime::from_secs_f64(delay));
+            sim.spawn(name, move |ctx| async move {
+                ctx.hold(SimTime::from_secs_f64(delay)).await;
                 order.lock().push(name);
             });
         }
@@ -101,8 +107,8 @@ mod tests {
         let mut sim = Sim::new();
         for name in ["x", "y", "z"] {
             let order = order.clone();
-            sim.spawn(name, move |ctx| {
-                ctx.hold(SimTime::from_secs(1));
+            sim.spawn(name, move |ctx| async move {
+                ctx.hold(SimTime::from_secs(1)).await;
                 order.lock().push(name);
             });
         }
@@ -113,15 +119,15 @@ mod tests {
     #[test]
     fn spawn_and_join_children() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
+        sim.spawn("parent", |ctx| async move {
             let children: Vec<_> = (0..3)
                 .map(|i| {
-                    ctx.spawn(&format!("child{i}"), move |cctx| {
-                        cctx.hold(SimTime::from_secs(i + 1));
+                    ctx.spawn(&format!("child{i}"), move |cctx| async move {
+                        cctx.hold(SimTime::from_secs(i + 1)).await;
                     })
                 })
                 .collect();
-            ctx.join_all(&children);
+            ctx.join_all(&children).await;
             assert_eq!(ctx.now(), SimTime::from_secs(3));
         });
         sim.run().unwrap();
@@ -130,10 +136,10 @@ mod tests {
     #[test]
     fn join_finished_process_returns_immediately() {
         let mut sim = Sim::new();
-        sim.spawn("parent", |ctx| {
-            let child = ctx.spawn("child", |_| {});
-            ctx.hold(SimTime::from_secs(5));
-            ctx.join(&child); // already finished
+        sim.spawn("parent", |ctx| async move {
+            let child = ctx.spawn("child", |_| async move {});
+            ctx.hold(SimTime::from_secs(5)).await;
+            ctx.join(&child).await; // already finished
             assert_eq!(ctx.now(), SimTime::from_secs(5));
         });
         sim.run().unwrap();
@@ -143,8 +149,8 @@ mod tests {
     fn deadlock_is_reported_with_reasons() {
         let mut sim = Sim::new();
         let ch: Channel<u8> = Channel::new("never");
-        sim.spawn("stuck", move |ctx| {
-            ch.recv(ctx);
+        sim.spawn("stuck", move |ctx| async move {
+            ch.recv(&ctx).await;
         });
         match sim.run() {
             Err(SimError::Deadlock { blocked, .. }) => {
@@ -159,7 +165,7 @@ mod tests {
     #[test]
     fn process_panic_is_propagated() {
         let mut sim = Sim::new();
-        sim.spawn("bad", |_| panic!("boom"));
+        sim.spawn("bad", |_| async move { panic!("boom") });
         match sim.run() {
             Err(SimError::ProcessPanicked { process, message }) => {
                 assert_eq!(process, "bad");
@@ -173,8 +179,10 @@ mod tests {
     fn event_limit_bounds_runaway_sims() {
         let mut sim = Sim::new();
         sim.set_event_limit(100);
-        sim.spawn("spinner", |ctx| loop {
-            ctx.hold(SimTime::from_secs(1));
+        sim.spawn("spinner", |ctx| async move {
+            loop {
+                ctx.hold(SimTime::from_secs(1)).await;
+            }
         });
         match sim.run() {
             Err(SimError::EventLimitExceeded { limit }) => assert_eq!(limit, 100),
@@ -189,10 +197,10 @@ mod tests {
             let res = Resource::new("r", 2);
             for (i, &d) in seed_delays.iter().enumerate() {
                 let res = res.clone();
-                sim.spawn(&format!("p{i}"), move |ctx| {
-                    res.acquire(ctx, 1);
-                    ctx.hold(SimTime::from_secs_f64(d));
-                    res.release(ctx, 1);
+                sim.spawn(&format!("p{i}"), move |ctx| async move {
+                    res.acquire(&ctx, 1).await;
+                    ctx.hold(SimTime::from_secs_f64(d)).await;
+                    res.release(&ctx, 1);
                 });
             }
             let r = sim.run().unwrap();

@@ -11,6 +11,13 @@
 //! amortized O(1) — against O(log n) heap sifts whose cache misses
 //! dominate once millions of events are resident.
 //!
+//! Each bucket is itself a small min-heap on `(time, seq)`. A well-tuned
+//! calendar keeps a handful of entries per day, where that costs the same
+//! as a scan; but when many entries share one day — thousands of
+//! processes all starting at t = 0, or a width tuned while every entry
+//! sat at one instant — a bucket degrades to a binary heap, O(log n) per
+//! operation, instead of a linear scan per pop.
+//!
 //! Day numbers are computed once per entry and stored as exact integers,
 //! so the sweep compares `u64`s rather than accumulating floating-point
 //! bucket boundaries; because `t / width` is monotone in `t`, day order
@@ -24,6 +31,8 @@
 //! interleaving, bucket layout, or resize history.
 
 use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Largest quotient `time / width` whose floor is exactly representable;
 /// entries beyond it live in the overflow list (found by direct search).
@@ -39,9 +48,38 @@ struct Entry<T> {
     payload: T,
 }
 
+/// Heap order: the *smallest* `(time, seq)` is the greatest entry, so a
+/// `BinaryHeap` (a max-heap) pops it first. Times are finite (`SimTime`
+/// enforces it), and `seq` is unique among live entries, so the order is
+/// total.
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .partial_cmp(&self.time)
+            .expect("event times are finite")
+            .then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
 /// Where `locate` found the next entry.
 enum Loc {
-    Bucket(usize, usize),
+    /// The top of this bucket's heap.
+    Bucket(usize),
     Overflow(usize),
 }
 
@@ -53,7 +91,7 @@ enum Loc {
 /// numbers).
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Entry<T>>>,
+    buckets: Vec<BinaryHeap<Entry<T>>>,
     /// Entries whose day number is not exactly representable.
     overflow: Vec<Entry<T>>,
     /// Bucket width in virtual seconds (one calendar "day").
@@ -77,7 +115,7 @@ impl<T> CalendarQueue<T> {
     /// shrinks, and re-tunes its bucket width as the population changes.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..Self::MIN_BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: (0..Self::MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
             overflow: Vec::new(),
             width: 1.0,
             len: 0,
@@ -141,25 +179,31 @@ impl<T> CalendarQueue<T> {
     /// population — cancellation is for correctness (stale timeouts,
     /// model-based tests), not for hot paths.
     pub fn cancel(&mut self, seq: u64) -> Option<(SimTime, T)> {
-        for b in self
-            .buckets
-            .iter_mut()
-            .chain(std::iter::once(&mut self.overflow))
-        {
-            if let Some(i) = b.iter().position(|e| e.seq == seq) {
-                let e = b.swap_remove(i);
-                self.len -= 1;
-                return Some((SimTime::from_secs_f64(e.time), e.payload));
-            }
-        }
-        None
+        let found = if let Some(i) = self.overflow.iter().position(|e| e.seq == seq) {
+            self.overflow.swap_remove(i)
+        } else {
+            let heap = self
+                .buckets
+                .iter_mut()
+                .find(|b| b.iter().any(|e| e.seq == seq))?;
+            let mut entries = std::mem::take(heap).into_vec();
+            let i = entries
+                .iter()
+                .position(|e| e.seq == seq)
+                .expect("the bucket holds the entry");
+            let e = entries.swap_remove(i);
+            *heap = BinaryHeap::from(entries);
+            e
+        };
+        self.len -= 1;
+        Some((SimTime::from_secs_f64(found.time), found.payload))
     }
 
     /// Removes and returns the earliest entry by `(time, seq)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         let loc = self.locate()?;
         let e = match loc {
-            Loc::Bucket(b, i) => self.buckets[b].swap_remove(i),
+            Loc::Bucket(b) => self.buckets[b].pop().expect("located bucket is non-empty"),
             Loc::Overflow(i) => self.overflow.swap_remove(i),
         };
         self.len -= 1;
@@ -183,15 +227,11 @@ impl<T> CalendarQueue<T> {
         let mut day = self.cur_day;
         for _ in 0..nb {
             let bi = (day % nb) as usize;
-            let mut best: Option<(f64, u64, usize)> = None;
-            for (i, e) in self.buckets[bi].iter().enumerate() {
-                if e.day <= day && best.is_none_or(|(bt, bs, _)| (e.time, e.seq) < (bt, bs)) {
-                    best = Some((e.time, e.seq, i));
-                }
-            }
-            if let Some((_, _, i)) = best {
+            // The bucket's earliest entry has its smallest day (day is
+            // monotone in time): if that one is not due, none is.
+            if self.buckets[bi].peek().is_some_and(|e| e.day <= day) {
                 self.cur_day = day;
-                return Some(Loc::Bucket(bi, i));
+                return Some(Loc::Bucket(bi));
             }
             match day.checked_add(1) {
                 Some(d) => day = d,
@@ -202,12 +242,12 @@ impl<T> CalendarQueue<T> {
         // list, then re-align the sweep onto its day.
         let mut best: Option<(f64, u64, u64, Loc)> = None;
         for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
+            if let Some(e) = bucket.peek() {
                 if best
                     .as_ref()
                     .is_none_or(|(bt, bs, _, _)| (e.time, e.seq) < (*bt, *bs))
                 {
-                    best = Some((e.time, e.seq, e.day, Loc::Bucket(b, i)));
+                    best = Some((e.time, e.seq, e.day, Loc::Bucket(b)));
                 }
             }
         }
@@ -234,7 +274,7 @@ impl<T> CalendarQueue<T> {
         let new_buckets = new_buckets.max(Self::MIN_BUCKETS);
         let mut entries: Vec<Entry<T>> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
-            entries.append(b);
+            entries.extend(b.drain());
         }
         entries.append(&mut self.overflow);
 
@@ -252,7 +292,7 @@ impl<T> CalendarQueue<T> {
             }
         }
 
-        self.buckets = (0..new_buckets).map(|_| Vec::new()).collect();
+        self.buckets = (0..new_buckets).map(|_| BinaryHeap::new()).collect();
         self.cur_day = u64::MAX;
         for e in &mut entries {
             e.day = self.day_of(e.time).unwrap_or(u64::MAX);
@@ -379,6 +419,22 @@ mod tests {
         for i in 0..1000u64 {
             assert_eq!(q.pop().map(|(_, s, _)| s), Some(i));
         }
+    }
+
+    #[test]
+    fn crowded_day_pops_fifo_and_cancels_in_place() {
+        // Every entry at one instant, as when thousands of processes all
+        // start at t = 0: they share one day's heap, pop FIFO, and a
+        // cancel from the middle leaves the rest ordered.
+        let mut q = CalendarQueue::new();
+        for i in 0..1000u64 {
+            q.schedule(t(0.5), i, i);
+        }
+        assert!(q.cancel(500).is_some());
+        for i in (0..1000u64).filter(|&i| i != 500) {
+            assert_eq!(q.pop().map(|(_, s, _)| s), Some(i));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@ struct ResInner {
     waiters: VecDeque<(Pid, u64)>,
 }
 
-/// A capacity-limited resource. `acquire(n)` blocks until `n` units are
+/// A capacity-limited resource. `acquire(n)` waits until `n` units are
 /// available *and* every earlier waiter has been served (strict FIFO — no
 /// barging, so small requests cannot starve a large one).
 #[derive(Clone)]
@@ -57,8 +57,8 @@ impl Resource {
         self.inner.lock().waiters.len()
     }
 
-    /// Acquires `amount` units, blocking in FIFO order until granted.
-    pub fn acquire(&self, ctx: &SimCtx, amount: u64) {
+    /// Acquires `amount` units, waiting in FIFO order until granted.
+    pub async fn acquire(&self, ctx: &SimCtx, amount: u64) {
         let must_wait = {
             let mut g = self.inner.lock();
             assert!(
@@ -83,7 +83,7 @@ impl Resource {
             });
             // The corresponding `release` deducts our units and schedules our
             // wake; on resume the grant has already been made.
-            ctx.yield_to_engine();
+            ctx.park().await;
         }
     }
 
@@ -120,8 +120,8 @@ impl Resource {
     }
 
     /// Acquires, runs `f`, then releases — the common hold-resource pattern.
-    pub fn with<R>(&self, ctx: &SimCtx, amount: u64, f: impl FnOnce() -> R) -> R {
-        self.acquire(ctx, amount);
+    pub async fn with<R>(&self, ctx: &SimCtx, amount: u64, f: impl FnOnce() -> R) -> R {
+        self.acquire(ctx, amount).await;
         let r = f();
         self.release(ctx, amount);
         r
@@ -142,11 +142,11 @@ mod tests {
         for i in 0..3 {
             let res = res.clone();
             let order = order.clone();
-            sim.spawn(&format!("p{i}"), move |ctx| {
-                res.acquire(ctx, 1);
+            sim.spawn(&format!("p{i}"), move |ctx| async move {
+                res.acquire(&ctx, 1).await;
                 order.lock().push((i, ctx.now().as_secs_f64()));
-                ctx.hold(SimTime::from_secs(1));
-                res.release(ctx, 1);
+                ctx.hold(SimTime::from_secs(1)).await;
+                res.release(&ctx, 1);
             });
         }
         sim.run().unwrap();
@@ -170,31 +170,31 @@ mod tests {
         {
             let res = res.clone();
             let log = log.clone();
-            sim.spawn("p0", move |ctx| {
-                res.acquire(ctx, 3);
+            sim.spawn("p0", move |ctx| async move {
+                res.acquire(&ctx, 3).await;
                 log.lock().push(("p0", ctx.now().as_secs_f64()));
-                ctx.hold(SimTime::from_secs(5));
-                res.release(ctx, 3);
+                ctx.hold(SimTime::from_secs(5)).await;
+                res.release(&ctx, 3);
             });
         }
         {
             let res = res.clone();
             let log = log.clone();
-            sim.spawn("p1", move |ctx| {
-                ctx.hold(SimTime::from_secs(1));
-                res.acquire(ctx, 2);
+            sim.spawn("p1", move |ctx| async move {
+                ctx.hold(SimTime::from_secs(1)).await;
+                res.acquire(&ctx, 2).await;
                 log.lock().push(("p1", ctx.now().as_secs_f64()));
-                res.release(ctx, 2);
+                res.release(&ctx, 2);
             });
         }
         {
             let res = res.clone();
             let log = log.clone();
-            sim.spawn("p2", move |ctx| {
-                ctx.hold(SimTime::from_secs(2));
-                res.acquire(ctx, 1);
+            sim.spawn("p2", move |ctx| async move {
+                ctx.hold(SimTime::from_secs(2)).await;
+                res.acquire(&ctx, 1).await;
                 log.lock().push(("p2", ctx.now().as_secs_f64()));
-                res.release(ctx, 1);
+                res.release(&ctx, 1);
             });
         }
         sim.run().unwrap();
@@ -210,10 +210,11 @@ mod tests {
         {
             let res = res.clone();
             let count = count.clone();
-            sim.spawn("a", move |ctx| {
-                res.with(ctx, 2, || {
+            sim.spawn("a", move |ctx| async move {
+                res.with(&ctx, 2, || {
                     count.fetch_add(1, Ordering::SeqCst);
-                });
+                })
+                .await;
                 assert_eq!(res.available(), 2);
             });
         }
@@ -226,8 +227,8 @@ mod tests {
     fn over_acquire_panics() {
         let mut sim = Sim::new();
         let res = Resource::new("r", 1);
-        sim.spawn("a", move |ctx| {
-            res.acquire(ctx, 2);
+        sim.spawn("a", move |ctx| async move {
+            res.acquire(&ctx, 2).await;
         });
         // The panic inside the process surfaces as a SimError; unwrap the
         // error message to re-panic for should_panic matching.

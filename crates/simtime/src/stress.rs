@@ -3,9 +3,8 @@
 //! self-rescheduling timers kept resident simultaneously, so the event
 //! queue holds a million entries while events fire.
 //!
-//! Timers use [`crate::Sim::schedule`] (engine-thread callbacks, no process
-//! handoff), so the measured cost is the calendar queue plus arena
-//! overhead.
+//! Timers use [`crate::Sim::schedule`] (event-loop callbacks, no process
+//! task), so the measured cost is the calendar queue plus arena overhead.
 
 use crate::engine::{Sim, Timers};
 use crate::time::SimTime;
@@ -81,21 +80,20 @@ pub fn run_stress(spec: StressSpec) -> (u64, SimTime) {
     (report.events_processed, report.end_time)
 }
 
-/// The seed engine's only timer mechanism, for the `speedup_vs_legacy`
-/// bench ratio: `procs` OS-thread processes each `hold()`ing `holds`
-/// times. Every event pays two gate context switches, so this is the
-/// honest "before" of timers that run on the engine thread. Returns the
-/// events processed (callers time the run themselves).
-pub fn run_hold_baseline(procs: usize, holds: usize) -> u64 {
+/// The process path, for the `speedup_vs_task_hold` bench ratio: `procs`
+/// process tasks each `hold()`ing `holds` times. Every event polls a task
+/// through its `hold` future, which a timer skips. Returns the events
+/// processed (callers time the run themselves).
+pub fn run_task_holds(procs: usize, holds: usize) -> u64 {
     let mut sim = Sim::new();
     for p in 0..procs {
-        sim.spawn(&format!("hold{p}"), move |ctx| {
+        sim.spawn(&format!("hold{p}"), move |ctx| async move {
             for round in 0..holds {
-                ctx.hold(SimTime::from_nanos(gap_nanos(p, round, 0)));
+                ctx.hold(SimTime::from_nanos(gap_nanos(p, round, 0))).await;
             }
         });
     }
-    let report = sim.run().expect("hold baseline cannot deadlock");
+    let report = sim.run().expect("task holds cannot deadlock");
     report.events_processed
 }
 
@@ -104,9 +102,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hold_baseline_counts_every_hold() {
+    fn task_holds_count_every_hold() {
         // One start wake per process plus one wake per hold.
-        let events = run_hold_baseline(10, 7);
+        let events = run_task_holds(10, 7);
         assert_eq!(events, 10 * (7 + 1));
     }
 

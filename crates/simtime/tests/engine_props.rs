@@ -21,16 +21,16 @@ fn run_program(
         let log = log.clone();
         let delays = delays.clone();
         let use_resource = *use_resource;
-        sim.spawn(&format!("p{pid}"), move |ctx| {
+        sim.spawn(&format!("p{pid}"), move |ctx| async move {
             for &d in &delays {
                 if use_resource {
-                    res.acquire(ctx, 1);
+                    res.acquire(&ctx, 1).await;
                 }
-                ctx.hold(SimTime::from_micros(d as f64 + 1.0));
+                ctx.hold(SimTime::from_micros(d as f64 + 1.0)).await;
                 log.lock()
                     .push((pid, (ctx.now().as_secs_f64() * 1e9) as u64));
                 if use_resource {
-                    res.release(ctx, 1);
+                    res.release(&ctx, 1);
                 }
             }
         });
@@ -69,10 +69,10 @@ proptest! {
         for (pid, (delays, _)) in procs.iter().enumerate() {
             let res = res.clone();
             let delays = delays.clone();
-            sim.spawn(&format!("p{pid}"), move |ctx| {
+            sim.spawn(&format!("p{pid}"), move |ctx| async move {
                 for &d in &delays {
-                    res.with(ctx, 1, || ());
-                    ctx.hold(SimTime::from_micros(d as f64));
+                    res.with(&ctx, 1, || ()).await;
+                    ctx.hold(SimTime::from_micros(d as f64)).await;
                 }
             });
         }
@@ -89,9 +89,9 @@ proptest! {
         let stamps: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new();
         let s2 = stamps.clone();
-        sim.spawn("p", move |ctx| {
+        sim.spawn("p", move |ctx| async move {
             for &d in &delays {
-                ctx.hold(SimTime::from_micros(d as f64));
+                ctx.hold(SimTime::from_micros(d as f64)).await;
                 s2.lock().push(ctx.now().as_secs_f64());
             }
         });
@@ -111,19 +111,19 @@ proptest! {
         for c in 0..consumers {
             let rx = ch.clone();
             let got = got.clone();
-            sim.spawn(&format!("c{c}"), move |ctx| {
-                while let Some(v) = rx.recv(ctx) {
+            sim.spawn(&format!("c{c}"), move |ctx| async move {
+                while let Some(v) = rx.recv(&ctx).await {
                     got.lock().push(v);
                 }
             });
         }
         let tx = ch.clone();
         let payloads2 = payloads.clone();
-        sim.spawn("producer", move |ctx| {
+        sim.spawn("producer", move |ctx| async move {
             for v in payloads2 {
-                tx.send(ctx, v);
+                tx.send(&ctx, v);
             }
-            tx.close(ctx);
+            tx.close(&ctx);
         });
         sim.run().unwrap();
         let mut got = Arc::try_unwrap(got).ok().unwrap().into_inner();
@@ -143,18 +143,18 @@ proptest! {
         let got: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
         let rx = ch.clone();
         let got2 = got.clone();
-        sim.spawn("consumer", move |ctx| {
-            while let Some(v) = rx.recv(ctx) {
+        sim.spawn("consumer", move |ctx| async move {
+            while let Some(v) = rx.recv(&ctx).await {
                 got2.lock().push(v);
             }
         });
         let tx = ch.clone();
         let payloads2 = payloads.clone();
-        sim.spawn("producer", move |ctx| {
+        sim.spawn("producer", move |ctx| async move {
             for v in payloads2 {
-                tx.send(ctx, v);
+                tx.send(&ctx, v);
             }
-            tx.close(ctx);
+            tx.close(&ctx);
         });
         sim.run().unwrap();
         prop_assert_eq!(&*got.lock(), &payloads);
